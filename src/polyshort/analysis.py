@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, spectral
-from .flows import CoincidentVerticesError, VelocityField
+from .flows import VelocityField, _bisector_direction
 from .geometry import ConvexityTag, Polygon, StarTag
 from .simulate import Termination, Trajectory
 
@@ -34,6 +34,7 @@ __all__ = [
     "check_star_preservation",
     "check_convexity_preservation",
     "check_area_monotone",
+    "check_ellipse_convergence",
     "ellipse_convergence_series",
     "report_lines",
     "report_json",
@@ -84,14 +85,18 @@ def perimeter_rate(poly: Polygon, vel) -> float:
     u = vel.velocities if isinstance(vel, VelocityField) else np.asarray(vel, dtype=np.complex128)
     if u.shape != z.shape:
         raise ValueError("velocity field length must match the polygon")
-    e_prev = np.roll(z, 1) - z
-    e_next = np.roll(z, -1) - z
-    lp = np.abs(e_prev)
-    ln = np.abs(e_next)
-    if np.any(lp == 0.0) or np.any(ln == 0.0):
-        raise CoincidentVerticesError("zero-length edge")
-    d = e_prev / lp + e_next / ln
-    return -float(np.sum(d.real * u.real + d.imag * u.imag))
+    return -float(np.sum(geometry._dot(_bisector_direction(z), u)))
+
+
+def _report(name: str, first: float | None, worst: float, samples: int) -> CheckReport:
+    # the one place that derives ``passed`` from the first violation time
+    return CheckReport(
+        check_name=name,
+        passed=first is None,
+        first_violation_time=first,
+        worst_margin=worst,
+        samples_checked=samples,
+    )
 
 
 def _monotone_report(name, times, values, slack_ref, extra_violation=None, samples=None):
@@ -103,13 +108,7 @@ def _monotone_report(name, times, values, slack_ref, extra_violation=None, sampl
     if first is None and extra_violation is not None:
         first = extra_violation
     worst = float((margins - slack).min()) if margins.size else math.inf
-    return CheckReport(
-        check_name=name,
-        passed=first is None,
-        first_violation_time=first,
-        worst_margin=worst,
-        samples_checked=samples if samples is not None else len(values),
-    )
+    return _report(name, first, worst, samples if samples is not None else len(values))
 
 
 def check_perimeter_monotone(traj: Trajectory) -> CheckReport:
@@ -143,13 +142,7 @@ def check_star_preservation(traj: Trajectory) -> CheckReport:
         worst = min(worst, float((sign * geometry.star_values(s)).min()))
         if geometry.classify_star(s).tag is not first_cls.tag and first is None:
             first = float(t)
-    return CheckReport(
-        check_name="star_preservation",
-        passed=first is None,
-        first_violation_time=first,
-        worst_margin=worst,
-        samples_checked=len(traj),
-    )
+    return _report("star_preservation", first, worst, len(traj))
 
 
 def check_convexity_preservation(traj: Trajectory) -> CheckReport:
@@ -174,13 +167,7 @@ def check_convexity_preservation(traj: Trajectory) -> CheckReport:
         worst = min(worst, float(cls.h_values.min()))
         if cls.tag is not ConvexityTag.STRICTLY_CONVEX and first is None:
             first = float(t)
-    return CheckReport(
-        check_name="convexity_preservation",
-        passed=first is None,
-        first_violation_time=first,
-        worst_margin=worst,
-        samples_checked=checked,
-    )
+    return _report("convexity_preservation", first, worst, checked)
 
 
 def check_area_monotone(traj: Trajectory) -> CheckReport:
@@ -209,6 +196,63 @@ def ellipse_convergence_series(traj: Trajectory) -> list:
         (float(t), spectral.ellipse_residual(s, ellipse))
         for t, s in zip(traj.times, traj.states)
     ]
+
+
+def check_ellipse_convergence(traj: Trajectory) -> CheckReport:
+    """The ellipse residual must decrease once past one leading time constant.
+
+    Pairs of samples before ``t = 1 / leading_decay_rate`` are not checked.
+    When the run reaches six leading time constants, the final residual must
+    also be below 1e-3; that failure is reported at the final sample time.
+    Raises :class:`DegenerateLeadingModeError` when the initial state has no
+    leading-mode content.
+    """
+    series = ellipse_convergence_series(traj)
+    rate = spectral.leading_decay_rate(traj.n)
+    first = None
+    worst = math.inf
+    checked = 0
+    for (t0, r0), (t1, r1) in zip(series, series[1:]):
+        if t0 * rate < 1.0:
+            continue
+        checked += 1
+        drop = r0 - r1
+        worst = min(worst, drop)
+        if r1 > r0 + 1e-12 * max(r0, 1e-30) + 1e-15 and first is None:
+            first = t1
+    t_last, r_last = series[-1]
+    if first is None and t_last * rate >= 6.0 and r_last >= 1e-3:
+        first = t_last
+    return _report("ellipse_convergence", first, worst, checked)
+
+
+def _bound_report(name: str, traj: Trajectory, value: float, bound: float) -> CheckReport:
+    # passes when value <= bound; a failure is dated at the final sample
+    first = None if value <= bound else float(traj.times[-1])
+    return _report(name, first, bound - value, len(traj))
+
+
+def check_centroid_drift(traj: Trajectory, diam0: float) -> CheckReport:
+    """The vertex centroid must stay within 1e-9 * ``diam0`` of where it started."""
+    g = np.array([s.z.mean() for s in traj.states])
+    return _bound_report("centroid_drift", traj, float(np.abs(g - g[0]).max()), 1e-9 * diam0)
+
+
+def check_line_deviation(traj: Trajectory) -> CheckReport:
+    """Every sample must stay within 1e-9 * diameter of the initial state's line.
+
+    The line runs through the initial state's farthest vertex pair.
+    """
+    z0 = traj.states[0].z
+    d = np.abs(z0[:, None] - z0[None, :])
+    i, j = np.unravel_index(int(d.argmax()), d.shape)
+    direction = (z0[j] - z0[i]) / abs(z0[j] - z0[i])
+    diam0 = float(d.max())
+    dev = 0.0
+    for s in traj.states:
+        offs = (s.z - z0[i]) * np.conj(direction)
+        dev = max(dev, float(np.abs(offs.imag).max()))
+    return _bound_report("line_deviation", traj, dev, 1e-9 * diam0)
 
 
 def report_lines(reports) -> list:

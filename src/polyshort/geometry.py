@@ -113,10 +113,10 @@ class Polygon:
         return np.column_stack((self.z.real, self.z.imag))
 
     def edge_lengths(self) -> np.ndarray:
-        return np.abs(np.roll(self.z, -1) - self.z)
+        return _edge_lengths(self.z)
 
     def min_edge(self) -> float:
-        return float(self.edge_lengths().min())
+        return float(_edge_lengths(self.z).min())
 
     def diameter(self) -> float:
         """Largest pairwise vertex distance."""
@@ -137,6 +137,21 @@ def _diameter(z: np.ndarray) -> float:
     return float(d.max())
 
 
+def _edge_lengths(z: np.ndarray) -> np.ndarray:
+    # |z_{i+1} - z_i|, edge i running from vertex i to vertex i+1
+    return np.abs(np.roll(z, -1) - z)
+
+
+def _cross(u, w):
+    """Im{conj(u) * w}; scalars or arrays alike."""
+    return u.real * w.imag - u.imag * w.real
+
+
+def _dot(u, w):
+    """Re{conj(u) * w}; scalars or arrays alike."""
+    return u.real * w.real + u.imag * w.imag
+
+
 def centroid(poly: Polygon) -> complex:
     """Vertex average (the conserved first modal coefficient of the circuit)."""
     return complex(poly.z.mean())
@@ -144,14 +159,12 @@ def centroid(poly: Polygon) -> complex:
 
 def perimeter(poly: Polygon) -> float:
     """Sum of edge lengths around the circuit."""
-    return float(np.abs(np.roll(poly.z, -1) - poly.z).sum())
+    return float(_edge_lengths(poly.z).sum())
 
 
 def signed_area(poly: Polygon) -> float:
     """Shoelace area; positive for counterclockwise numbering of a simple circuit."""
-    z = poly.z
-    zn = np.roll(z, -1)
-    return 0.5 * float(np.sum(z.real * zn.imag - zn.real * z.imag))
+    return 0.5 * float(np.sum(_cross(poly.z, np.roll(poly.z, -1))))
 
 
 def star_function(a: complex, b: complex, c: complex) -> float:
@@ -163,14 +176,8 @@ def star_function(a: complex, b: complex, c: complex) -> float:
     (angle strictly between 0 and pi), negative for the clockwise side, zero
     exactly when the three points are collinear.
     """
-    a = complex(a)
     b = complex(b)
-    c = complex(c)
-    ur = a.real - b.real
-    ui = a.imag - b.imag
-    wr = c.real - b.real
-    wi = c.imag - b.imag
-    return ur * wi - ui * wr
+    return _cross(complex(a) - b, complex(c) - b)
 
 
 def convex_function(prev: complex, vertex: complex, nxt: complex) -> float:
@@ -182,14 +189,8 @@ def convex_function(prev: complex, vertex: complex, nxt: complex) -> float:
     counterclockwise).  Algebraically ``convex_function = -star_function`` on
     the same triple.
     """
-    a = complex(prev)
     b = complex(vertex)
-    c = complex(nxt)
-    ur = a.real - b.real
-    ui = a.imag - b.imag
-    wr = c.real - b.real
-    wi = c.imag - b.imag
-    return ui * wr - ur * wi
+    return _cross(complex(nxt) - b, complex(prev) - b)
 
 
 def star_values(poly: Polygon) -> np.ndarray:
@@ -199,8 +200,7 @@ def star_values(poly: Polygon) -> np.ndarray:
     as seen from the centroid.
     """
     w = poly.z - poly.z.mean()
-    wn = np.roll(w, -1)
-    return w.real * wn.imag - w.imag * wn.real
+    return _cross(w, np.roll(w, -1))
 
 
 def convexity_values(poly: Polygon) -> np.ndarray:
@@ -211,9 +211,7 @@ def convexity_values(poly: Polygon) -> np.ndarray:
     values).
     """
     z = poly.z
-    u = np.roll(z, 1) - z
-    w = np.roll(z, -1) - z
-    return u.imag * w.real - u.real * w.imag
+    return _cross(np.roll(z, -1) - z, np.roll(z, 1) - z)
 
 
 class StarTag(enum.Enum):
@@ -250,9 +248,7 @@ def classify_star(poly: Polygon) -> StarClass:
     w = z - z.mean()
     r = np.abs(w)
     wn = np.roll(w, -1)
-    cross = w.real * wn.imag - w.imag * wn.real
-    dot = w.real * wn.real + w.imag * wn.imag
-    alpha = np.arctan2(cross, dot)
+    alpha = np.arctan2(_cross(w, wn), _dot(w, wn))
     r_tol = PREDICATE_TOL * _diameter(z)
     tag = StarTag.NOT_STAR
     if np.all(r > r_tol):
@@ -296,21 +292,17 @@ def classify_convexity(poly: Polygon) -> ConvexityClass:
     ``NOT_CONVEX``.
     """
     z = poly.z
-    prev = np.roll(z, 1)
-    nxt = np.roll(z, -1)
+    u = np.roll(z, 1) - z
+    w = np.roll(z, -1) - z
     if signed_area(poly) < 0.0:
-        prev, nxt = nxt, prev
-    u = prev - z
-    w = nxt - z
-    h = u.imag * w.real - u.real * w.imag
-    dot = u.real * w.real + u.imag * w.imag
-    beta = np.arctan2(h, dot)
+        u, w = w, u
+    h = _cross(w, u)
+    beta = np.arctan2(h, _dot(u, w))
     beta = np.where(beta < 0.0, beta + _TWO_PI, beta)
     tol = PREDICATE_TOL * _diameter(z) ** 2
-    if np.all(h > tol) and is_simple(poly):
-        tag = ConvexityTag.STRICTLY_CONVEX
-    elif np.all(h >= -tol) and np.any(h > tol) and is_simple(poly):
-        tag = ConvexityTag.CONVEX
+    # all(h > tol) implies the first two conditions, so is_simple runs at most once
+    if np.all(h >= -tol) and np.any(h > tol) and is_simple(poly):
+        tag = ConvexityTag.STRICTLY_CONVEX if np.all(h > tol) else ConvexityTag.CONVEX
     else:
         tag = ConvexityTag.NOT_CONVEX
     return ConvexityClass(tag=tag, internal_angles=beta, h_values=h)

@@ -20,14 +20,15 @@ import numpy as np
 
 from . import analysis, geometry, spectral
 from .analysis import (
-    CheckReport,
     PreconditionNotConvexError,
     PreconditionNotStarError,
     check_area_monotone,
+    check_centroid_drift,
     check_convexity_preservation,
+    check_ellipse_convergence,
+    check_line_deviation,
     check_perimeter_monotone,
     check_star_preservation,
-    ellipse_convergence_series,
     perimeter_rate,
     report_json,
     report_lines,
@@ -306,14 +307,15 @@ def _parse_sim(doc) -> SimConfig:
     if not isinstance(doc, dict) or "t_end" not in doc:
         raise ScenarioError("sim must be an object with 't_end'")
     kwargs = {"t_end": float(doc["t_end"])}
-    for key, conv in (
-        ("dt", float),
-        ("stop_diameter", float),
-        ("record_every", int),
-        ("adaptive", bool),
-    ):
+    for key in ("dt", "stop_diameter"):
         if key in doc:
-            kwargs[key] = conv(doc[key])
+            kwargs[key] = float(doc[key])
+    # JSON types only: bool("false") is True and int(2.5) is 2
+    for key, kind, what in (("record_every", int, "an integer"), ("adaptive", bool, "true or false")):
+        if key in doc:
+            if type(doc[key]) is not kind:
+                raise ScenarioError(f"sim.{key} must be {what}, not {doc[key]!r}")
+            kwargs[key] = doc[key]
     if "min_edge_capture" in doc and doc["min_edge_capture"] is not None:
         kwargs["min_edge_capture"] = float(doc["min_edge_capture"])
     return SimConfig(**kwargs)
@@ -406,10 +408,10 @@ def read_trajectory_csv(path) -> Trajectory:
     if header[0] != "t" or len(header) < 12 or (len(header) - 6) % 2 != 0:
         raise ValueError(f"{path}: unexpected CSV header")
     n = (len(header) - 6) // 2
-    last = lines[-1]
-    if not last.startswith("# termination="):
-        raise ValueError(f"{path}: missing termination line")
-    termination = Termination[last.split("=", 1)[1].strip()]
+    prefix, _, reason = lines[-1].partition("=")
+    if prefix != "# termination" or reason.strip() not in Termination.__members__:
+        raise ValueError(f"{path}: missing or unknown termination line {lines[-1]!r}")
+    termination = Termination[reason.strip()]
     times, states = [], []
     per, area, min_f, min_h, min_e = [], [], [], [], []
     for ln in lines[1:-1]:
@@ -552,9 +554,7 @@ def _cmd_simulate(args) -> int:
         )
         scenario = replace(scenario, sim=sim)
     if args.flow is not None:
-        kind = FlowKind(args.flow)
-        flow = FlowSpec.bisector() if kind is FlowKind.BISECTOR else FlowSpec(kind=kind)
-        scenario = replace(scenario, flow=flow)
+        scenario = replace(scenario, flow=_parse_flow({"kind": args.flow}))
     poly = scenario_polygon(scenario)
     traj = run(poly, scenario.flow, scenario.sim)
     out_dir = Path(args.out_dir)
@@ -611,34 +611,13 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-_ANALYZE_CHECKS = ("star", "convex", "perimeter", "area", "ellipse")
-
-
-def _ellipse_report(traj: Trajectory) -> CheckReport:
-    # decreasing residual beyond one leading time constant, small at the end
-    series = ellipse_convergence_series(traj)
-    rate = leading_decay_rate(traj.n)
-    first = None
-    worst = math.inf
-    checked = 0
-    for (t0, r0), (t1, r1) in zip(series, series[1:]):
-        if t0 * rate < 1.0:
-            continue
-        checked += 1
-        drop = r0 - r1
-        worst = min(worst, drop)
-        if r1 > r0 + 1e-12 * max(r0, 1e-30) + 1e-15 and first is None:
-            first = t1
-    t_last, r_last = series[-1]
-    if first is None and t_last * rate >= 6.0 and r_last >= 1e-3:
-        first = t_last
-    return CheckReport(
-        check_name="ellipse_convergence",
-        passed=first is None,
-        first_violation_time=first,
-        worst_margin=worst,
-        samples_checked=checked,
-    )
+_ANALYZE_CHECKS = {
+    "star": check_star_preservation,
+    "convex": check_convexity_preservation,
+    "perimeter": check_perimeter_monotone,
+    "area": check_area_monotone,
+    "ellipse": check_ellipse_convergence,
+}
 
 
 def _cmd_analyze(args) -> int:
@@ -652,16 +631,7 @@ def _cmd_analyze(args) -> int:
     not_applicable = []
     for name in wanted:
         try:
-            if name == "star":
-                reports.append(check_star_preservation(traj))
-            elif name == "convex":
-                reports.append(check_convexity_preservation(traj))
-            elif name == "perimeter":
-                reports.append(check_perimeter_monotone(traj))
-            elif name == "area":
-                reports.append(check_area_monotone(traj))
-            else:
-                reports.append(_ellipse_report(traj))
+            reports.append(_ANALYZE_CHECKS[name](traj))
         except (
             PreconditionNotStarError,
             PreconditionNotConvexError,
@@ -676,41 +646,6 @@ def _cmd_analyze(args) -> int:
     if args.out_json:
         Path(args.out_json).write_text(report_json(reports), encoding="utf-8")
     return 0 if not not_applicable and all(r.passed for r in reports) else 1
-
-
-def _centroid_drift_report(name: str, traj: Trajectory, diam0: float) -> CheckReport:
-    g = np.array([s.z.mean() for s in traj.states])
-    drift = float(np.abs(g - g[0]).max())
-    tol = 1e-9 * diam0
-    ok = drift <= tol
-    return CheckReport(
-        check_name=name,
-        passed=ok,
-        first_violation_time=None if ok else float(traj.times[-1]),
-        worst_margin=tol - drift,
-        samples_checked=len(traj),
-    )
-
-
-def _line_deviation_report(name: str, traj: Trajectory) -> CheckReport:
-    z0 = traj.states[0].z
-    d = np.abs(z0[:, None] - z0[None, :])
-    i, j = np.unravel_index(int(d.argmax()), d.shape)
-    direction = (z0[j] - z0[i]) / abs(z0[j] - z0[i])
-    diam0 = float(d.max())
-    dev = 0.0
-    for s in traj.states:
-        offs = (s.z - z0[i]) * np.conj(direction)
-        dev = max(dev, float(np.abs(offs.imag).max()))
-    tol = 1e-9 * diam0
-    ok = dev <= tol
-    return CheckReport(
-        check_name=name,
-        passed=ok,
-        first_violation_time=None if ok else float(traj.times[-1]),
-        worst_margin=tol - dev,
-        samples_checked=len(traj),
-    )
 
 
 def _validate_suite(ensemble_size: int, seed: int) -> list:
@@ -730,7 +665,7 @@ def _validate_suite(ensemble_size: int, seed: int) -> list:
         traj = run(poly, FlowSpec.linear(), cfg)
         reports.append(replace(check_star_preservation(traj), check_name=f"star_preservation[{i:02d}]"))
         reports.append(replace(check_perimeter_monotone(traj), check_name=f"star_perimeter[{i:02d}]"))
-        reports.append(_centroid_drift_report(f"star_centroid_drift[{i:02d}]", traj, diam0))
+        reports.append(replace(check_centroid_drift(traj, diam0), check_name=f"star_centroid_drift[{i:02d}]"))
 
     # strictly convex polygons stay strictly convex; area shrinks
     for i in range(ensemble_size):
@@ -742,13 +677,13 @@ def _validate_suite(ensemble_size: int, seed: int) -> list:
         reports.append(replace(check_convexity_preservation(traj), check_name=f"convexity_preservation[{i:02d}]"))
         reports.append(replace(check_area_monotone(traj), check_name=f"convex_area[{i:02d}]"))
         reports.append(replace(check_perimeter_monotone(traj), check_name=f"convex_perimeter[{i:02d}]"))
-        reports.append(_centroid_drift_report(f"convex_centroid_drift[{i:02d}]", traj, diam0))
+        reports.append(replace(check_centroid_drift(traj, diam0), check_name=f"convex_centroid_drift[{i:02d}]"))
 
     # collinear states stay collinear
     for i in range(10):
         poly = generate(GeneratorSpec(GeneratorKind.COLLINEAR, n=6 + (i % 4)), sub_seed())
         traj = run(poly, FlowSpec.linear(), SimConfig(t_end=2.0, dt=0.01, record_every=20))
-        reports.append(_line_deviation_report(f"collinear_invariance[{i:02d}]", traj))
+        reports.append(replace(check_line_deviation(traj), check_name=f"collinear_invariance[{i:02d}]"))
 
     # bisector direction is perimeter-optimal among magnitude-matched fields
     for i in range(ensemble_size):
@@ -760,16 +695,8 @@ def _validate_suite(ensemble_size: int, seed: int) -> list:
             phases = np.array([root.uniform(0.0, 2.0 * np.pi) for _ in range(poly.n)])
             v = np.abs(u.velocities) * np.exp(1j * phases)
             margin = min(margin, perimeter_rate(poly, v) - rate_u)
-        ok = margin >= -1e-12
-        reports.append(
-            CheckReport(
-                check_name=f"bisector_optimality[{i:02d}]",
-                passed=ok,
-                first_violation_time=None if ok else 0.0,
-                worst_margin=margin,
-                samples_checked=10,
-            )
-        )
+        first = None if margin >= -1e-12 else 0.0
+        reports.append(analysis._report(f"bisector_optimality[{i:02d}]", first, margin, 10))
 
     # integrator agrees with the exact modal solution
     for i in range(3):
@@ -780,16 +707,7 @@ def _validate_suite(ensemble_size: int, seed: int) -> list:
         for t, s in zip(traj.times, traj.states):
             exact = closed_form_state(dec, float(t)).z
             err = max(err, float(np.abs(s.z - exact).max()))
-        ok = err <= 1e-6
-        reports.append(
-            CheckReport(
-                check_name=f"rk4_vs_closed_form[{i}]",
-                passed=ok,
-                first_violation_time=None if ok else float(traj.times[-1]),
-                worst_margin=1e-6 - err,
-                samples_checked=len(traj),
-            )
-        )
+        reports.append(analysis._bound_report(f"rk4_vs_closed_form[{i}]", traj, err, 1e-6))
     return reports
 
 

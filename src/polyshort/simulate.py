@@ -115,10 +115,6 @@ def step_rk4(poly: Polygon, flow: FlowSpec, dt: float) -> Polygon:
     return Polygon._wrap(_rk4(poly.z, _field_function(flow), dt))
 
 
-def _min_edge(z: np.ndarray) -> float:
-    return float(np.abs(np.roll(z, -1) - z).min())
-
-
 def _build_trajectory(rec_t, rec_z, termination: Termination) -> Trajectory:
     states = [Polygon._wrap(z) for z in rec_z]
     per = np.empty(len(states))
@@ -166,7 +162,7 @@ def run(poly: Polygon, flow: FlowSpec, cfg: SimConfig) -> Trajectory:
         if geometry._diameter(z) < cfg.stop_diameter:
             termination = Termination.COLLAPSED
             break
-        if flow.kind is FlowKind.BISECTOR and capture > 0.0 and _min_edge(z) < capture:
+        if flow.kind is FlowKind.BISECTOR and capture > 0.0 and geometry._edge_lengths(z).min() < capture:
             termination = Termination.CAPTURE
             break
         remaining = cfg.t_end - t
@@ -183,7 +179,7 @@ def run(poly: Polygon, flow: FlowSpec, cfg: SimConfig) -> Trajectory:
                 break
             vmax = float(np.abs(v).max())
             if vmax > 0.0:
-                cap_dt = CURVATURE_STEP_FRACTION * _min_edge(z) / vmax
+                cap_dt = CURVATURE_STEP_FRACTION * float(geometry._edge_lengths(z).min()) / vmax
                 if cap_dt < dt_eff:
                     dt_eff = cap_dt
                     last = False

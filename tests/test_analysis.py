@@ -13,6 +13,7 @@ from polyshort.analysis import (
     PreconditionNotStarError,
     check_area_monotone,
     check_convexity_preservation,
+    check_ellipse_convergence,
     check_perimeter_monotone,
     check_star_preservation,
     ellipse_convergence_series,
@@ -37,7 +38,7 @@ from polyshort.io_cli import (
     generate,
 )
 from polyshort.simulate import SimConfig, Termination, Trajectory, _build_trajectory, run
-from polyshort.spectral import eigenvalues, leading_decay_rate
+from polyshort.spectral import DegenerateLeadingModeError, eigenvalues, leading_decay_rate
 
 UNIT_SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 DIAMOND = Polygon([(1, 0), (0, 1), (-1, 0), (0, -1)])
@@ -245,6 +246,35 @@ class TestEllipseConvergenceSeries:
         assert series[-1][1] < 1e-3
         after = [(t, r) for t, r in series if t * rate >= 1.0]
         assert all(b < a for (_, a), (_, b) in zip(after, after[1:]))
+
+
+class TestCheckEllipseConvergence:
+    def test_star_run_past_six_time_constants_passes(self):
+        poly = generate(GeneratorSpec(GeneratorKind.RANDOM_STAR, n=8), 3)
+        rate = leading_decay_rate(8)
+        traj = run(poly, FlowSpec.linear(), SimConfig(t_end=6.5 / rate, dt=0.02, record_every=25))
+        assert traj.times[-1] * rate >= 6.0
+        rep = check_ellipse_convergence(traj)
+        assert rep.passed, rep
+        assert rep.check_name == "ellipse_convergence"
+        assert 0 < rep.samples_checked < len(traj)
+        assert rep.worst_margin > 0.0
+
+    def test_rising_residual_fails(self):
+        poly = generate(GeneratorSpec(GeneratorKind.RANDOM_STAR, n=8), 3)
+        rate = leading_decay_rate(8)
+        traj = run(poly, FlowSpec.linear(), SimConfig(t_end=4.0 / rate, dt=0.02, record_every=25))
+        # replay the run backwards in time: the residual now grows
+        back = make_traj(traj.states[::-1])
+        rep = check_ellipse_convergence(back)
+        assert not rep.passed
+        assert rep.worst_margin < 0.0
+
+    def test_frequency_two_loop_is_degenerate(self):
+        loop = Polygon(np.exp(4j * np.pi * np.arange(7) / 7))
+        traj = run(loop, FlowSpec.linear(), SimConfig(t_end=0.1, dt=0.01))
+        with pytest.raises(DegenerateLeadingModeError):
+            check_ellipse_convergence(traj)
 
 
 class TestReportFormatting:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from polyshort import geometry
 from polyshort.geometry import (
     ConvexityTag,
     Polygon,
@@ -234,6 +235,21 @@ class TestClassifyConvexity:
         res = classify_convexity(Polygon(_BOOMERANG_VERTICES))
         assert res.tag is ConvexityTag.NOT_CONVEX
         assert np.min(res.h_values) < 0
+
+    def test_pentagram_checks_simplicity_once(self, monkeypatch):
+        # every H value is positive, so only the simplicity test rules it out
+        calls = []
+
+        def counting_is_simple(poly):
+            calls.append(poly)
+            return is_simple(poly)
+
+        monkeypatch.setattr(geometry, "is_simple", counting_is_simple)
+        pentagram = Polygon(np.exp(4j * np.pi * np.arange(5) / 5))
+        res = classify_convexity(pentagram)
+        assert res.tag is ConvexityTag.NOT_CONVEX
+        assert np.all(res.h_values > 0.0)
+        assert len(calls) == 1
 
     def test_internal_angle_sum_simple_polygons(self):
         # sum of internal angles of a simple polygon is (n-2)*pi

@@ -185,6 +185,11 @@ class TestScenario:
             {"sim": {}},
             {"outputs": ["csv", "pdf"]},
             {"polygon": {"vertices": [[0, 0], [1, 0]]}},
+            {"sim": {"t_end": 1.0, "adaptive": "false"}},
+            {"sim": {"t_end": 1.0, "adaptive": 0}},
+            {"sim": {"t_end": 1.0, "record_every": 2.5}},
+            {"sim": {"t_end": 1.0, "record_every": 2.0}},
+            {"sim": {"t_end": 1.0, "record_every": True}},
         ],
     )
     def test_malformed_documents_rejected(self, mutation):
@@ -192,6 +197,13 @@ class TestScenario:
         doc.update(mutation)
         with pytest.raises(ScenarioError):
             scenario_from_dict(doc)
+
+    def test_json_typed_sim_fields_accepted(self):
+        doc = dict(self.DOC)
+        doc["sim"] = {"t_end": 1.0, "adaptive": False, "record_every": 3}
+        sim = scenario_from_dict(doc).sim
+        assert sim.adaptive is False
+        assert sim.record_every == 3
 
     def test_missing_key_rejected(self):
         doc = dict(self.DOC)
@@ -253,12 +265,13 @@ class TestTrajectoryCsv:
             "z,x1,y1,x2,y2,x3,y3,perimeter,area,minF,minH,min_edge\n" + "0," * 11 + "0\n# termination=T_END\n",
             "t,x1,y1,x2,y2,x3,y3,perimeter,area,minF,minH,min_edge\n" + "0," * 11 + "0\n",
             "t,x1,y1,x2,y2,x3,y3,perimeter,area,minF,minH,min_edge\n0,1\n# termination=T_END\n",
+            "t,x1,y1,x2,y2,x3,y3,perimeter,area,minF,minH,min_edge\n" + "0," * 11 + "0\n# termination=BOGUS\n",
         ],
     )
     def test_rejects_malformed_files(self, tmp_path, text):
         f = tmp_path / "bad.csv"
         f.write_text(text, encoding="utf-8")
-        with pytest.raises((ValueError, KeyError)):
+        with pytest.raises(ValueError, match="bad.csv"):
             read_trajectory_csv(f)
 
 
@@ -388,6 +401,23 @@ class TestCli:
         assert out.count("PASS") == 3
         assert cli_main(["analyze", "--csv", str(csv), "--checks", "bogus"]) == 2
         capsys.readouterr()
+
+    def test_analyze_unknown_termination_is_usage_error(self, tmp_path, capsys):
+        csv = tmp_path / "t.csv"
+        write_trajectory_csv(small_trajectory(), csv)
+        text = csv.read_text(encoding="utf-8").replace("termination=T_END", "termination=BOGUS")
+        csv.write_text(text, encoding="utf-8")
+        assert cli_main(["analyze", "--csv", str(csv)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "t.csv" in err[0] and "BOGUS" in err[0]
+
+    def test_simulate_string_adaptive_is_usage_error(self, tmp_path, capsys):
+        sim = {"t_end": 0.5, "dt": 0.01, "adaptive": "false"}
+        sc = write_scenario(tmp_path, sim=sim)
+        assert cli_main(["simulate", "--scenario", str(sc), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "adaptive" in err[0]
 
     def test_analyze_not_applicable(self, tmp_path, capsys):
         # a star (nonconvex) start makes the convexity check inapplicable
