@@ -5,10 +5,11 @@ Run from the repository root:
     python3 scripts/artifact_digest.py
 
 It writes, into a temporary directory, the ``validate --seed 1`` report JSON,
-every file of ``reproduce fig7``, ``fig8``, ``fig9`` and ``fig10``, and the
-``analyze`` report JSON of every check on ``fig8.csv``, then prints
-``<sha256>  <file>`` for each file in name order.  Run it before and after a
-change and diff the two outputs: any difference is a changed artifact.
+every file of ``reproduce fig7``, ``fig8``, ``fig9`` and ``fig10``, the
+``analyze`` report JSON of every check on ``fig8.csv``, and the CSV, SVG and
+summary JSON of ``simulate`` on an adaptive Menger-Melnikov scenario, then
+prints ``<sha256>  <file>`` for each file in name order.  Run it before and
+after a change and diff the two outputs: any difference is a changed artifact.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -32,9 +34,26 @@ def _cli(*argv) -> None:
         cli_main([str(a) for a in argv])
 
 
+# a generator polygon under the adaptive Menger-Melnikov flow, written with
+# every output kind, so render_svg draws its default snapshots; dt is large
+# enough that the curvature cap shortens every step
+_MM_SCENARIO = {
+    "name": "mm_star",
+    "polygon": {"generator": {"kind": "random_star", "n": 9}},
+    "flow": {"kind": "menger_melnikov"},
+    "sim": {"t_end": 0.5, "dt": 0.05, "record_every": 2},
+    "seed": 7,
+    "outputs": ["csv", "svg", "report_json"],
+}
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp)
+        scenario = Path(tmp) / "mm_star.json"
+        scenario.write_text(json.dumps(_MM_SCENARIO), encoding="utf-8")
+        out = Path(tmp) / "out"
+        out.mkdir()
+        _cli("simulate", "--scenario", scenario, "--out-dir", out)
         _cli("validate", "--seed", 1, "--out-json", out / "validate.json")
         for fig in ("fig7", "fig8", "fig9", "fig10"):
             _cli("reproduce", fig, "--out-dir", out)

@@ -132,16 +132,14 @@ def check_star_preservation(traj: Trajectory) -> CheckReport:
     positive means safely inside the initial class.  Raises
     :class:`PreconditionNotStarError` when the initial state is not a star.
     """
-    first_cls = geometry.classify_star(traj.states[0])
+    states = traj.states
+    first_cls = geometry.classify_star(states[0])
     if first_cls.tag is StarTag.NOT_STAR:
         raise PreconditionNotStarError("initial state is not a star")
     sign = 1.0 if first_cls.tag is StarTag.CCW_STAR else -1.0
-    first = None
-    worst = math.inf
-    for t, s in zip(traj.times, traj.states):
-        worst = min(worst, float((sign * geometry.star_values(s)).min()))
-        if geometry.classify_star(s).tag is not first_cls.tag and first is None:
-            first = float(t)
+    tags = (geometry.classify_star(s).tag for s in states)
+    first = next((float(t) for t, tag in zip(traj.times, tags) if tag is not first_cls.tag), None)
+    worst = float((sign * geometry._star_values(traj.z)).min())
     return _report("star_preservation", first, worst, len(traj))
 
 
@@ -153,13 +151,14 @@ def check_convexity_preservation(traj: Trajectory) -> CheckReport:
     the minimum orientation-corrected H value.  Raises
     :class:`PreconditionNotConvexError` when the initial state is not convex.
     """
-    first_tag = geometry.classify_convexity(traj.states[0]).tag
+    states = traj.states
+    first_tag = geometry.classify_convexity(states[0]).tag
     if first_tag is ConvexityTag.NOT_CONVEX:
         raise PreconditionNotConvexError("initial state is not convex")
     first = None
     worst = math.inf
     checked = 0
-    for t, s in zip(traj.times, traj.states):
+    for t, s in zip(traj.times, states):
         if t == 0.0:
             continue
         cls = geometry.classify_convexity(s)
@@ -191,11 +190,9 @@ def ellipse_convergence_series(traj: Trajectory) -> list:
     pairs.  Raises :class:`DegenerateLeadingModeError` when the initial state
     has no leading-mode content.
     """
-    ellipse = spectral.limit_ellipse(spectral.decompose(traj.states[0]))
-    return [
-        (float(t), spectral.ellipse_residual(s, ellipse))
-        for t, s in zip(traj.times, traj.states)
-    ]
+    states = traj.states
+    ellipse = spectral.limit_ellipse(spectral.decompose(states[0]))
+    return [(float(t), spectral.ellipse_residual(s, ellipse)) for t, s in zip(traj.times, states)]
 
 
 def check_ellipse_convergence(traj: Trajectory) -> CheckReport:
@@ -234,7 +231,7 @@ def _bound_report(name: str, traj: Trajectory, value: float, bound: float) -> Ch
 
 def check_centroid_drift(traj: Trajectory, diam0: float) -> CheckReport:
     """The vertex centroid must stay within 1e-9 * ``diam0`` of where it started."""
-    g = np.array([s.z.mean() for s in traj.states])
+    g = traj.z.mean(axis=1)
     return _bound_report("centroid_drift", traj, float(np.abs(g - g[0]).max()), 1e-9 * diam0)
 
 
@@ -243,15 +240,12 @@ def check_line_deviation(traj: Trajectory) -> CheckReport:
 
     The line runs through the initial state's farthest vertex pair.
     """
-    z0 = traj.states[0].z
+    z0 = traj.z[0]
     d = np.abs(z0[:, None] - z0[None, :])
     i, j = np.unravel_index(int(d.argmax()), d.shape)
     direction = (z0[j] - z0[i]) / abs(z0[j] - z0[i])
     diam0 = float(d.max())
-    dev = 0.0
-    for s in traj.states:
-        offs = (s.z - z0[i]) * np.conj(direction)
-        dev = max(dev, float(np.abs(offs.imag).max()))
+    dev = float(np.abs(((traj.z - z0[i]) * np.conj(direction)).imag).max())
     return _bound_report("line_deviation", traj, dev, 1e-9 * diam0)
 
 

@@ -96,10 +96,13 @@ class Polygon:
     def _wrap(cls, z: np.ndarray) -> "Polygon":
         # Trusted constructor for derived states (integrator output, closed-form
         # evaluation, file round-trips) where a collapsing polygon may round to
-        # coincident vertices.  Skips the distinctness check only.
+        # coincident vertices.  Skips the distinctness check only.  A read-only
+        # complex array (a row of Trajectory.z) is shared, not copied.
         p = cls.__new__(cls)
-        zz = np.array(z, dtype=np.complex128)
-        zz.flags.writeable = False
+        zz = np.asarray(z, dtype=np.complex128)
+        if zz.flags.writeable:
+            zz = zz.copy()
+            zz.flags.writeable = False
         p.z = zz
         return p
 
@@ -137,9 +140,13 @@ def _diameter(z: np.ndarray) -> float:
     return float(d.max())
 
 
+# The private helpers below take one circuit or a stack of them, shape (..., n),
+# along the last axis; the public per-polygon functions call them.
+
+
 def _edge_lengths(z: np.ndarray) -> np.ndarray:
     # |z_{i+1} - z_i|, edge i running from vertex i to vertex i+1
-    return np.abs(np.roll(z, -1) - z)
+    return np.abs(np.roll(z, -1, axis=-1) - z)
 
 
 def _cross(u, w):
@@ -150,6 +157,19 @@ def _cross(u, w):
 def _dot(u, w):
     """Re{conj(u) * w}; scalars or arrays alike."""
     return u.real * w.real + u.imag * w.imag
+
+
+def _signed_area(z: np.ndarray) -> np.ndarray:
+    return 0.5 * np.sum(_cross(z, np.roll(z, -1, axis=-1)), axis=-1)
+
+
+def _star_values(z: np.ndarray) -> np.ndarray:
+    w = z - z.mean(axis=-1, keepdims=True)
+    return _cross(w, np.roll(w, -1, axis=-1))
+
+
+def _convexity_values(z: np.ndarray) -> np.ndarray:
+    return _cross(np.roll(z, -1, axis=-1) - z, np.roll(z, 1, axis=-1) - z)
 
 
 def centroid(poly: Polygon) -> complex:
@@ -164,7 +184,7 @@ def perimeter(poly: Polygon) -> float:
 
 def signed_area(poly: Polygon) -> float:
     """Shoelace area; positive for counterclockwise numbering of a simple circuit."""
-    return 0.5 * float(np.sum(_cross(poly.z, np.roll(poly.z, -1))))
+    return float(_signed_area(poly.z))
 
 
 def star_function(a: complex, b: complex, c: complex) -> float:
@@ -199,8 +219,7 @@ def star_values(poly: Polygon) -> np.ndarray:
     All positive exactly when consecutive vertices advance counterclockwise
     as seen from the centroid.
     """
-    w = poly.z - poly.z.mean()
-    return _cross(w, np.roll(w, -1))
+    return _star_values(poly.z)
 
 
 def convexity_values(poly: Polygon) -> np.ndarray:
@@ -210,8 +229,7 @@ def convexity_values(poly: Polygon) -> np.ndarray:
     applied here (``classify_convexity`` reports the orientation-corrected
     values).
     """
-    z = poly.z
-    return _cross(np.roll(z, -1) - z, np.roll(z, 1) - z)
+    return _convexity_values(poly.z)
 
 
 class StarTag(enum.Enum):

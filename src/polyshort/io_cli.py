@@ -268,6 +268,18 @@ class Scenario:
 _OUTPUT_KINDS = frozenset({"csv", "svg", "report_json"})
 
 
+# JSON types only: float(True) is 1.0, float("1e-1") is 0.1, int(2.5) is 2 and
+# bool("false") is True, so each value must already have its JSON type
+_JSON_TYPES = {float: ((int, float), "a number"), int: ((int,), "an integer"), bool: ((bool,), "true or false")}
+
+
+def _json_value(value, kind, name: str):
+    types, what = _JSON_TYPES[kind]
+    if type(value) not in types:
+        raise ScenarioError(f"{name} must be {what}, not {value!r}")
+    return kind(value)
+
+
 def _parse_flow(doc) -> FlowSpec:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ScenarioError("flow must be an object with a 'kind'")
@@ -280,7 +292,7 @@ def _parse_flow(doc) -> FlowSpec:
     mode = BisectorSpeedMode(doc.get("speed_mode", "unit"))
     if mode is BisectorSpeedMode.NORM_MATCHED:
         return FlowSpec.bisector(speed_mode=mode)
-    return FlowSpec.bisector(speed_mode=mode, speed=float(doc.get("speed", 1.0)))
+    return FlowSpec.bisector(speed_mode=mode, speed=_json_value(doc.get("speed", 1.0), float, "flow.speed"))
 
 
 def _parse_polygon(doc):
@@ -296,9 +308,9 @@ def _parse_polygon(doc):
             raise ScenarioError("generator needs a known 'kind'") from None
         kwargs = {}
         if "n" in g and g["n"] is not None:
-            kwargs["n"] = int(g["n"])
+            kwargs["n"] = _json_value(g["n"], int, "generator.n")
         if "radius_range" in g:
-            kwargs["radius_range"] = tuple(float(x) for x in g["radius_range"])
+            kwargs["radius_range"] = tuple(_json_value(x, float, "generator.radius_range") for x in g["radius_range"])
         return GeneratorSpec(kind=kind, **kwargs)
     raise ScenarioError("polygon needs 'vertices' or 'generator'")
 
@@ -306,18 +318,10 @@ def _parse_polygon(doc):
 def _parse_sim(doc) -> SimConfig:
     if not isinstance(doc, dict) or "t_end" not in doc:
         raise ScenarioError("sim must be an object with 't_end'")
-    kwargs = {"t_end": float(doc["t_end"])}
-    for key in ("dt", "stop_diameter"):
-        if key in doc:
-            kwargs[key] = float(doc[key])
-    # JSON types only: bool("false") is True and int(2.5) is 2
-    for key, kind, what in (("record_every", int, "an integer"), ("adaptive", bool, "true or false")):
-        if key in doc:
-            if type(doc[key]) is not kind:
-                raise ScenarioError(f"sim.{key} must be {what}, not {doc[key]!r}")
-            kwargs[key] = doc[key]
-    if "min_edge_capture" in doc and doc["min_edge_capture"] is not None:
-        kwargs["min_edge_capture"] = float(doc["min_edge_capture"])
+    kinds = {"t_end": float, "dt": float, "stop_diameter": float, "record_every": int, "adaptive": bool}
+    kwargs = {key: _json_value(doc[key], kind, f"sim.{key}") for key, kind in kinds.items() if key in doc}
+    if doc.get("min_edge_capture") is not None:
+        kwargs["min_edge_capture"] = _json_value(doc["min_edge_capture"], float, "sim.min_edge_capture")
     return SimConfig(**kwargs)
 
 
@@ -341,7 +345,7 @@ def scenario_from_dict(doc) -> Scenario:
         polygon=polygon,
         flow=flow,
         sim=sim,
-        seed=int(doc.get("seed", 0)),
+        seed=_json_value(doc.get("seed", 0), int, "seed"),
         outputs=outputs,
     )
 
@@ -365,6 +369,10 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# CSV column name -> Trajectory attribute, for the columns after the vertices
+_CSV_COLUMNS = {"perimeter": "perimeter", "area": "signed_area", "minF": "min_f", "minH": "min_h", "min_edge": "min_edge"}
+
+
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write a trajectory to CSV with full round-trip precision.
 
@@ -375,25 +383,15 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     """
     if len(traj) == 0:
         raise ValueError("refusing to write an empty trajectory")
-    n = traj.n
     cols = ["t"]
-    for i in range(1, n + 1):
+    for i in range(1, traj.n + 1):
         cols += [f"x{i}", f"y{i}"]
-    cols += ["perimeter", "area", "minF", "minH", "min_edge"]
-    lines = [",".join(cols)]
-    for k in range(len(traj)):
-        z = traj.states[k].z
-        row = [_fmt(traj.times[k])]
-        for i in range(n):
-            row += [_fmt(z[i].real), _fmt(z[i].imag)]
-        row += [
-            _fmt(traj.perimeter[k]),
-            _fmt(traj.signed_area[k]),
-            _fmt(traj.min_f[k]),
-            _fmt(traj.min_h[k]),
-            _fmt(traj.min_edge[k]),
-        ]
-        lines.append(",".join(row))
+    # a complex row viewed as floats is x1, y1, ..., xn, yn
+    table = np.column_stack(
+        [traj.times, traj.z.view(np.float64)] + [getattr(traj, a) for a in _CSV_COLUMNS.values()]
+    )
+    lines = [",".join(cols + list(_CSV_COLUMNS))]
+    lines += [",".join(map(_fmt, row)) for row in table.tolist()]
     lines.append(f"# termination={traj.termination.name}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -405,42 +403,39 @@ def read_trajectory_csv(path) -> Trajectory:
     if len(lines) < 3:
         raise ValueError(f"{path}: not a trajectory CSV (too short)")
     header = lines[0].split(",")
-    if header[0] != "t" or len(header) < 12 or (len(header) - 6) % 2 != 0:
+    n, odd = divmod(len(header) - 1 - len(_CSV_COLUMNS), 2)
+    if header[0] != "t" or n < 3 or odd or header[2 * n + 1 :] != list(_CSV_COLUMNS):
         raise ValueError(f"{path}: unexpected CSV header")
-    n = (len(header) - 6) // 2
     prefix, _, reason = lines[-1].partition("=")
     if prefix != "# termination" or reason.strip() not in Termination.__members__:
         raise ValueError(f"{path}: missing or unknown termination line {lines[-1]!r}")
-    termination = Termination[reason.strip()]
-    times, states = [], []
-    per, area, min_f, min_h, min_e = [], [], [], [], []
-    for ln in lines[1:-1]:
-        vals = [float(v) for v in ln.split(",")]
-        if len(vals) != 2 * n + 6:
-            raise ValueError(f"{path}: row has {len(vals)} fields, expected {2 * n + 6}")
-        times.append(vals[0])
-        xy = np.array(vals[1 : 2 * n + 1]).reshape(n, 2)
-        states.append(Polygon._wrap(xy[:, 0] + 1j * xy[:, 1]))
-        per.append(vals[2 * n + 1])
-        area.append(vals[2 * n + 2])
-        min_f.append(vals[2 * n + 3])
-        min_h.append(vals[2 * n + 4])
-        min_e.append(vals[2 * n + 5])
+    try:
+        rows = [[float(v) for v in ln.split(",")] for ln in lines[1:-1]]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    for row in rows:
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row has {len(row)} fields, expected {len(header)}")
+    table = np.array(rows)
+    if not np.isfinite(table).all():
+        raise ValueError(f"{path}: non-finite value in a row")
+    diagnostics = dict(zip(_CSV_COLUMNS.values(), table[:, 2 * n + 1 :].T.copy()))
     return Trajectory(
-        times=np.array(times),
-        states=states,
-        perimeter=np.array(per),
-        signed_area=np.array(area),
-        min_f=np.array(min_f),
-        min_h=np.array(min_h),
-        min_edge=np.array(min_e),
-        termination=termination,
+        times=table[:, 0].copy(),
+        z=table[:, 1 : 2 * n + 1].view(np.complex128),
+        termination=Termination[reason.strip()],
+        **diagnostics,
     )
 
 
 def _svg_num(x: float) -> str:
     s = format(x, ".6g")
     return "0" if s == "-0" else s
+
+
+def _svg_points(z: np.ndarray, sep: str = " ") -> str:
+    # "x,y" pairs with y flipped so the picture is upright
+    return sep.join(f"{_svg_num(x)},{_svg_num(-y)}" for x, y in zip(z.real.tolist(), z.imag.tolist()))
 
 
 def _shade(i: int, count: int) -> str:
@@ -475,15 +470,10 @@ def render_svg(
             {int(np.argmin(np.abs(traj.times - float(t)))) for t in snapshot_times}
         )
     # canvas bounds over everything drawn (y flipped so the picture is upright)
-    pts = [traj.states[i].z for i in picks]
-    if show_trajectories:
-        pts = [s.z for s in traj.states]
-    allz = np.concatenate(pts)
-    g0 = complex(traj.states[0].z.mean())
-    xs = allz.real
-    ys = -allz.imag
-    x0, x1 = float(xs.min()), float(xs.max())
-    y0, y1 = float(ys.min()), float(ys.max())
+    allz = traj.z if show_trajectories else traj.z[picks]
+    g0 = complex(traj.z[0].mean())
+    x0, x1 = float(allz.real.min()), float(allz.real.max())
+    y0, y1 = -float(allz.imag.max()), -float(allz.imag.min())
     if mark_centroid:
         x0, x1 = min(x0, g0.real), max(x1, g0.real)
         y0, y1 = min(y0, -g0.imag), max(y1, -g0.imag)
@@ -501,20 +491,15 @@ def render_svg(
     ]
     if show_trajectories:
         out.append('<g id="vertex-paths">')
-        n = traj.n
-        for i in range(n):
-            coords = " ".join(
-                f"{_svg_num(s.z[i].real)},{_svg_num(-s.z[i].imag)}" for s in traj.states
-            )
+        for path in traj.z.T:
             out.append(
                 f'<polyline fill="none" stroke="#8a8a8a" stroke-width="{_svg_num(0.5 * stroke)}"'
-                f' stroke-dasharray="{dash},{dash}" points="{coords}"/>'
+                f' stroke-dasharray="{dash},{dash}" points="{_svg_points(path)}"/>'
             )
         out.append("</g>")
     out.append('<g id="snapshots">')
     for j, i in enumerate(picks):
-        z = traj.states[i].z
-        d = "M " + " L ".join(f"{_svg_num(v.real)},{_svg_num(-v.imag)}" for v in z) + " Z"
+        d = "M " + _svg_points(traj.z[i], " L ") + " Z"
         out.append(
             f'<path fill="none" stroke="{_shade(j, len(picks))}"'
             f' stroke-width="{_svg_num(stroke)}" d="{d}"/>'
@@ -650,6 +635,8 @@ def _cmd_analyze(args) -> int:
 
 def _validate_suite(ensemble_size: int, seed: int) -> list:
     """The randomized theorem suite behind ``polyshort validate``."""
+    if ensemble_size < 1:
+        raise ValueError(f"--ensemble-size must be at least 1, not {ensemble_size}")
     reports = []
     root = SplitMix64(seed)
 
@@ -703,10 +690,8 @@ def _validate_suite(ensemble_size: int, seed: int) -> list:
         poly = generate(GeneratorSpec(GeneratorKind.RANDOM_STAR, n=8), sub_seed())
         traj = run(poly, FlowSpec.linear(), SimConfig(t_end=2.0, dt=1e-3, record_every=200))
         dec = decompose(poly)
-        err = 0.0
-        for t, s in zip(traj.times, traj.states):
-            exact = closed_form_state(dec, float(t)).z
-            err = max(err, float(np.abs(s.z - exact).max()))
+        exact = np.array([closed_form_state(dec, t).z for t in traj.times.tolist()])
+        err = float(np.abs(traj.z - exact).max())
         reports.append(analysis._bound_report(f"rk4_vs_closed_form[{i}]", traj, err, 1e-6))
     return reports
 
@@ -852,7 +837,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reproduce)
 
     p = sub.add_parser("validate", help="run the randomized theorem suite")
-    p.add_argument("--ensemble-size", type=int, default=20)
+    p.add_argument("--ensemble-size", type=int, default=20, help="runs per random ensemble (at least 1)")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out-json", help="write the report JSON here")
     p.set_defaults(func=_cmd_validate)

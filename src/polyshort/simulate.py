@@ -9,6 +9,7 @@ stopping reason is part of the returned trajectory, not an error.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,29 +59,32 @@ class SimConfig:
     min_edge_capture: float | None = None
 
     def __post_init__(self):
-        if not self.t_end > 0.0:
-            raise ValueError("t_end must be positive")
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
-        if self.stop_diameter < 0.0:
-            raise ValueError("stop_diameter must be nonnegative")
+        # NaN fails every comparison; an infinite t_end would never end a run
+        if not 0.0 < self.t_end < math.inf:
+            raise ValueError("t_end must be positive and finite")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        if not 0.0 <= self.stop_diameter < math.inf:
+            raise ValueError("stop_diameter must be nonnegative and finite")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
-        if self.min_edge_capture is not None and self.min_edge_capture < 0.0:
-            raise ValueError("min_edge_capture must be nonnegative")
+        if self.min_edge_capture is not None and not 0.0 <= self.min_edge_capture < math.inf:
+            raise ValueError("min_edge_capture must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
 class Trajectory:
     """Recorded samples of one run: states plus per-sample diagnostics.
 
+    ``z`` is the read-only ``(S, n)`` complex array of the S recorded states,
+    one row per sample; ``states`` derives :class:`Polygon` views of its rows.
     ``times`` starts at 0 and is strictly increasing.  ``min_f`` is the
     smallest per-vertex centroid turning value F_i, ``min_h`` the smallest
     per-vertex H value in numbering order, ``min_edge`` the shortest edge.
     """
 
     times: np.ndarray
-    states: list = field(repr=False)
+    z: np.ndarray = field(repr=False)
     perimeter: np.ndarray
     signed_area: np.ndarray
     min_f: np.ndarray
@@ -88,9 +92,19 @@ class Trajectory:
     min_edge: np.ndarray
     termination: Termination
 
+    def __post_init__(self):
+        z = np.array(self.z, dtype=np.complex128, order="C")
+        z.flags.writeable = False
+        object.__setattr__(self, "z", z)
+
+    @property
+    def states(self) -> list:
+        """The recorded states as polygons sharing the rows of ``z``."""
+        return [Polygon._wrap(row) for row in self.z]
+
     @property
     def n(self) -> int:
-        return self.states[0].n
+        return self.z.shape[1]
 
     def __len__(self) -> int:
         return self.times.size
@@ -116,26 +130,16 @@ def step_rk4(poly: Polygon, flow: FlowSpec, dt: float) -> Polygon:
 
 
 def _build_trajectory(rec_t, rec_z, termination: Termination) -> Trajectory:
-    states = [Polygon._wrap(z) for z in rec_z]
-    per = np.empty(len(states))
-    area = np.empty(len(states))
-    min_f = np.empty(len(states))
-    min_h = np.empty(len(states))
-    min_e = np.empty(len(states))
-    for i, s in enumerate(states):
-        per[i] = geometry.perimeter(s)
-        area[i] = geometry.signed_area(s)
-        min_f[i] = geometry.star_values(s).min()
-        min_h[i] = geometry.convexity_values(s).min()
-        min_e[i] = s.min_edge()
+    z = np.array(rec_z, dtype=np.complex128)
+    edges = geometry._edge_lengths(z)
     return Trajectory(
         times=np.array(rec_t),
-        states=states,
-        perimeter=per,
-        signed_area=area,
-        min_f=min_f,
-        min_h=min_h,
-        min_edge=min_e,
+        z=z,
+        perimeter=edges.sum(axis=-1),
+        signed_area=geometry._signed_area(z),
+        min_f=geometry._star_values(z).min(axis=-1),
+        min_h=geometry._convexity_values(z).min(axis=-1),
+        min_edge=edges.min(axis=-1),
         termination=termination,
     )
 
@@ -228,11 +232,7 @@ def detect_first(traj: Trajectory, predicate: TrajectoryPredicate):
         inc = np.nonzero(mag[1:] > mag[:-1])[0]
         return float(traj.times[inc[0]]) if inc.size else None
     if predicate is TrajectoryPredicate.BECOMES_STRICTLY_CONVEX:
-        for t, s in zip(traj.times, traj.states):
-            if geometry.classify_convexity(s).tag is geometry.ConvexityTag.STRICTLY_CONVEX:
-                return float(t)
-        return None
-    for t, s in zip(traj.times, traj.states):
-        if not geometry.is_simple(s):
-            return float(t)
-    return None
+        hits = (geometry.classify_convexity(s).tag is geometry.ConvexityTag.STRICTLY_CONVEX for s in traj.states)
+    else:
+        hits = (not geometry.is_simple(s) for s in traj.states)
+    return next((float(t) for t, hit in zip(traj.times, hits) if hit), None)

@@ -1,6 +1,7 @@
 """Deterministic RNG, generators, scenario files, CSV/SVG artifacts, CLI."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -190,6 +191,21 @@ class TestScenario:
             {"sim": {"t_end": 1.0, "record_every": 2.5}},
             {"sim": {"t_end": 1.0, "record_every": 2.0}},
             {"sim": {"t_end": 1.0, "record_every": True}},
+            {"polygon": {"generator": {"kind": "random_star", "n": 6.9}}},
+            {"polygon": {"generator": {"kind": "random_star", "n": "6"}}},
+            {"polygon": {"generator": {"kind": "random_star", "n": 6, "radius_range": [0.5, "1.5"]}}},
+            {"polygon": {"generator": {"kind": "random_star", "n": 6, "radius_range": [True, 1.5]}}},
+            {"seed": 2.7},
+            {"seed": True},
+            {"flow": {"kind": "bisector", "speed": "2"}},
+            {"sim": {"t_end": "1e-1"}},
+            {"sim": {"t_end": 1.0, "dt": True}},
+            {"sim": {"t_end": 1.0, "stop_diameter": "0"}},
+            {"sim": {"t_end": 1.0, "min_edge_capture": False}},
+            {"sim": {"t_end": math.inf, "stop_diameter": 0}},
+            {"sim": {"t_end": 1.0, "dt": math.inf}},
+            {"sim": {"t_end": 1.0, "stop_diameter": math.nan}},
+            {"sim": {"t_end": 1.0, "min_edge_capture": math.nan}},
         ],
     )
     def test_malformed_documents_rejected(self, mutation):
@@ -204,6 +220,10 @@ class TestScenario:
         sim = scenario_from_dict(doc).sim
         assert sim.adaptive is False
         assert sim.record_every == 3
+        doc["sim"] = {"t_end": 1, "dt": 0.5, "stop_diameter": 0, "min_edge_capture": None}
+        sim = scenario_from_dict(doc).sim
+        assert (sim.t_end, sim.dt, sim.stop_diameter, sim.min_edge_capture) == (1.0, 0.5, 0.0, None)
+        assert type(sim.t_end) is float
 
     def test_missing_key_rejected(self):
         doc = dict(self.DOC)
@@ -247,7 +267,7 @@ class TestTrajectoryCsv:
     def test_rejects_empty_trajectory(self, tmp_path):
         empty = Trajectory(
             times=np.array([]),
-            states=[],
+            z=np.empty((0, 3), complex),
             perimeter=np.array([]),
             signed_area=np.array([]),
             min_f=np.array([]),
@@ -266,6 +286,9 @@ class TestTrajectoryCsv:
             "t,x1,y1,x2,y2,x3,y3,perimeter,area,minF,minH,min_edge\n" + "0," * 11 + "0\n",
             "t,x1,y1,x2,y2,x3,y3,perimeter,area,minF,minH,min_edge\n0,1\n# termination=T_END\n",
             "t,x1,y1,x2,y2,x3,y3,perimeter,area,minF,minH,min_edge\n" + "0," * 11 + "0\n# termination=BOGUS\n",
+            "t,x1,y1,x2,y2,x3,y3,perimeter,area,minF,minH,edge\n" + "0," * 11 + "0\n# termination=T_END\n",
+            "t,x1,y1,x2,y2,x3,y3,perimeter,area,minF,minH,min_edge\n" + "0," * 11 + "abc\n# termination=T_END\n",
+            "t,x1,y1,x2,y2,x3,y3,perimeter,area,minF,minH,min_edge\n" + "0," * 11 + "nan\n# termination=T_END\n",
         ],
     )
     def test_rejects_malformed_files(self, tmp_path, text):
@@ -307,7 +330,7 @@ class TestRenderSvg:
     def test_rejects_empty(self):
         empty = Trajectory(
             times=np.array([]),
-            states=[],
+            z=np.empty((0, 3), complex),
             perimeter=np.array([]),
             signed_area=np.array([]),
             min_f=np.array([]),
@@ -470,6 +493,13 @@ class TestCli:
         doc = json.loads(out_json.read_text(encoding="utf-8"))
         assert doc["passed"] is True
         assert doc["seed"] == 1
+
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_validate_rejects_empty_ensemble(self, capsys, size):
+        assert cli_main(["validate", "--ensemble-size", size, "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: --ensemble-size must be at least 1, not {size}"]
 
     def test_no_arguments_is_usage_error(self, capsys):
         assert cli_main([]) == 2

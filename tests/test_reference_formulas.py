@@ -3,8 +3,13 @@
 Each quantity below once had its own hand-written copy of Im{conj(u) * w},
 Re{conj(u) * w}, the edge lengths or the bisector direction.  The copies are
 kept here, written out as they were, and the single implementations in the
-package must reproduce them bit for bit, signed zeros included.
+package must reproduce them bit for bit, signed zeros included.  The same
+holds for the per-sample trajectory columns, which are computed row-wise on
+the whole ``(S, n)`` stack of samples at once.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from polyshort.analysis import perimeter_rate  # noqa: E402
 from polyshort.flows import CoincidentVerticesError  # noqa: E402
@@ -26,6 +32,8 @@ from polyshort.geometry import (  # noqa: E402
     star_function,
     star_values,
 )
+from polyshort.io_cli import read_trajectory_csv, write_trajectory_csv  # noqa: E402
+from polyshort.simulate import Termination, _build_trajectory  # noqa: E402
 
 _TWO_PI = 2.0 * np.pi
 
@@ -36,6 +44,11 @@ COORD = st.one_of(
 )
 POINT = st.builds(complex, COORD, COORD)
 CIRCUIT = st.lists(POINT, min_size=3, max_size=9).map(lambda pts: Polygon._wrap(np.array(pts)))
+# stacks of S samples; the sizes straddle numpy's 8-wide unrolled and
+# 128-wide pairwise summation blocks, where a row-wise sum could differ
+STACK = st.tuples(
+    st.integers(1, 4), st.sampled_from([3, 4, 7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257])
+).flatmap(lambda shape: arrays(np.complex128, shape, elements=POINT))
 
 
 def same_bits(a, b) -> bool:
@@ -149,3 +162,22 @@ def test_perimeter_rate(poly, vel):
             perimeter_rate(poly, u)
         return
     assert same_bits(perimeter_rate(poly, u), expected)
+
+
+@given(STACK)
+def test_trajectory_columns(z):
+    traj = _build_trajectory(np.arange(z.shape[0], dtype=float), list(z), Termination.T_END)
+    states = traj.states
+    assert same_bits(traj.z.view(np.float64), z.view(np.float64))
+    assert same_bits(traj.perimeter, [perimeter(s) for s in states])
+    assert same_bits(traj.signed_area, [signed_area(s) for s in states])
+    assert same_bits(traj.min_f, [star_values(s).min() for s in states])
+    assert same_bits(traj.min_h, [convexity_values(s).min() for s in states])
+    assert same_bits(traj.min_edge, [s.min_edge() for s in states])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        write_trajectory_csv(traj, path)
+        back = read_trajectory_csv(path)
+    assert same_bits(back.z.view(np.float64), z.view(np.float64))
+    for name in ("times", "perimeter", "signed_area", "min_f", "min_h", "min_edge"):
+        assert same_bits(getattr(back, name), getattr(traj, name))

@@ -1,5 +1,7 @@
 """Integrator and trajectory bookkeeping: accuracy, stopping, detection."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,16 @@ class TestSimConfig:
             SimConfig(t_end=1.0, record_every=0)
         with pytest.raises(ValueError):
             SimConfig(t_end=1.0, min_edge_capture=-1e-6)
+        # construction only: a non-finite config must never reach run()
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                SimConfig(t_end=bad, stop_diameter=0.0)
+            with pytest.raises(ValueError, match="finite"):
+                SimConfig(t_end=1.0, dt=bad)
+            with pytest.raises(ValueError, match="finite"):
+                SimConfig(t_end=1.0, stop_diameter=bad)
+            with pytest.raises(ValueError, match="finite"):
+                SimConfig(t_end=1.0, min_edge_capture=bad)
 
 
 class TestStepRk4:
