@@ -5,9 +5,10 @@ Run from the repository root:
     python3 scripts/artifact_digest.py
 
 It writes, into a temporary directory, the ``validate --seed 1`` report JSON,
-every file of ``reproduce fig7``, ``fig8``, ``fig9`` and ``fig10``, the
-``analyze`` report JSON of every check on ``fig8.csv``, and the CSV, SVG and
-summary JSON of ``simulate`` on an adaptive Menger-Melnikov scenario, then
+every file of ``reproduce fig7``, ``fig8``, ``fig9`` and ``fig10``, the CSV,
+SVG and summary JSON of ``simulate`` on an adaptive Menger-Melnikov scenario,
+and the ``analyze`` report JSON of every check on ``fig8.csv`` and on that
+scenario's ``mm_star.csv``, then
 prints ``<sha256>  <file>`` for each file in name order.  Run it before and
 after a change and diff the two outputs: any difference is a changed artifact.
 """
@@ -57,12 +58,15 @@ def main() -> int:
         _cli("validate", "--seed", 1, "--out-json", out / "validate.json")
         for fig in ("fig7", "fig8", "fig9", "fig10"):
             _cli("reproduce", fig, "--out-dir", out)
-        _cli(
-            "analyze",
-            "--csv", out / "fig8.csv",
-            "--checks", "star,convex,perimeter,area,ellipse",
-            "--out-json", out / "analyze_fig8.json",
-        )
+        # mm_star.csv has uneven adaptive times, so the reader's checks of the
+        # times and the derived columns run on a real Menger-Melnikov file
+        for name in ("fig8", "mm_star"):
+            _cli(
+                "analyze",
+                "--csv", out / f"{name}.csv",
+                "--checks", "star,convex,perimeter,area,ellipse",
+                "--out-json", out / f"analyze_{name}.json",
+            )
         for path in sorted(out.iterdir()):
             print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
     return 0

@@ -266,6 +266,7 @@ def report_json(reports, **meta) -> str:
     """Deterministic JSON document for a list of reports.
 
     Keyword arguments become top-level metadata (seed, ensemble size, ...).
+    An infinite worst margin (nothing was compared) is written as ``null``.
     """
     doc = dict(meta)
     doc["passed"] = all(r.passed for r in reports)
@@ -274,9 +275,9 @@ def report_json(reports, **meta) -> str:
             "check_name": r.check_name,
             "passed": r.passed,
             "first_violation_time": r.first_violation_time,
-            "worst_margin": r.worst_margin,
+            "worst_margin": r.worst_margin if math.isfinite(r.worst_margin) else None,
             "samples_checked": r.samples_checked,
         }
         for r in reports
     ]
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=False, allow_nan=False) + "\n"

@@ -74,28 +74,44 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded samples of one run: states plus per-sample diagnostics.
+    """Recorded samples of one run: times, states and the stopping reason.
 
     ``z`` is the read-only ``(S, n)`` complex array of the S recorded states,
     one row per sample; ``states`` derives :class:`Polygon` views of its rows.
-    ``times`` starts at 0 and is strictly increasing.  ``min_f`` is the
-    smallest per-vertex centroid turning value F_i, ``min_h`` the smallest
-    per-vertex H value in numbering order, ``min_edge`` the shortest edge.
+    ``times`` has one entry per row, starts at 0 and strictly increases, or
+    construction raises ``ValueError``.  ``perimeter``, ``signed_area``,
+    ``min_f``, ``min_h`` (smallest F_i, H_i) and ``min_edge`` come from ``z``.
     """
 
     times: np.ndarray
     z: np.ndarray = field(repr=False)
-    perimeter: np.ndarray
-    signed_area: np.ndarray
-    min_f: np.ndarray
-    min_h: np.ndarray
-    min_edge: np.ndarray
     termination: Termination
+    perimeter: np.ndarray = field(init=False, repr=False)
+    signed_area: np.ndarray = field(init=False, repr=False)
+    min_f: np.ndarray = field(init=False, repr=False)
+    min_h: np.ndarray = field(init=False, repr=False)
+    min_edge: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        times = np.array(self.times, dtype=np.float64)
         z = np.array(self.z, dtype=np.complex128, order="C")
-        z.flags.writeable = False
-        object.__setattr__(self, "z", z)
+        if z.ndim != 2 or times.shape != z.shape[:1]:
+            raise ValueError("need one time per row of an (S, n) array of states")
+        if times.size and (times[0] != 0.0 or not (np.diff(times) > 0.0).all()):
+            raise ValueError("times must start at 0 and strictly increase")
+        edges = geometry._edge_lengths(z)
+        columns = {
+            "times": times,
+            "z": z,
+            "perimeter": edges.sum(axis=-1),
+            "signed_area": geometry._signed_area(z),
+            "min_f": geometry._star_values(z).min(axis=-1),
+            "min_h": geometry._convexity_values(z).min(axis=-1),
+            "min_edge": edges.min(axis=-1),
+        }
+        for name, value in columns.items():
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def states(self) -> list:
@@ -110,8 +126,7 @@ class Trajectory:
         return self.times.size
 
 
-def _rk4(z: np.ndarray, fld, dt: float) -> np.ndarray:
-    k1 = fld(z)
+def _rk4(z: np.ndarray, fld, dt: float, k1: np.ndarray) -> np.ndarray:
     k2 = fld(z + (0.5 * dt) * k1)
     k3 = fld(z + (0.5 * dt) * k2)
     k4 = fld(z + dt * k3)
@@ -126,22 +141,8 @@ def step_rk4(poly: Polygon, flow: FlowSpec, dt: float) -> Polygon:
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    return Polygon._wrap(_rk4(poly.z, _field_function(flow), dt))
-
-
-def _build_trajectory(rec_t, rec_z, termination: Termination) -> Trajectory:
-    z = np.array(rec_z, dtype=np.complex128)
-    edges = geometry._edge_lengths(z)
-    return Trajectory(
-        times=np.array(rec_t),
-        z=z,
-        perimeter=edges.sum(axis=-1),
-        signed_area=geometry._signed_area(z),
-        min_f=geometry._star_values(z).min(axis=-1),
-        min_h=geometry._convexity_values(z).min(axis=-1),
-        min_edge=edges.min(axis=-1),
-        termination=termination,
-    )
+    fld = _field_function(flow)
+    return Polygon._wrap(_rk4(poly.z, fld, dt, fld(poly.z)))
 
 
 def run(poly: Polygon, flow: FlowSpec, cfg: SimConfig) -> Trajectory:
@@ -149,24 +150,25 @@ def run(poly: Polygon, flow: FlowSpec, cfg: SimConfig) -> Trajectory:
 
     The initial state and the final state are always recorded.  Stopping
     conditions are evaluated on the current state before each step, in the
-    order: collapse, capture, end of time.  A flow degeneracy (or a non-finite
-    step result) ends the run with termination DEGENERATE at the last valid
-    state.
+    order: collapse, capture, end of time.  A flow degeneracy, a non-finite
+    step result or a step too small to advance the time ends the run with
+    termination DEGENERATE at the last valid state.
     """
     fld = _field_function(flow)
-    z = np.array(poly.z, dtype=np.complex128)
-    capture = cfg.min_edge_capture
+    adaptive = cfg.adaptive and flow.kind is FlowKind.MENGER_MELNIKOV
+    capture = cfg.min_edge_capture if flow.kind is FlowKind.BISECTOR else 0.0
     if capture is None:
-        capture = 1e-6 * poly.diameter() if flow.kind is FlowKind.BISECTOR else 0.0
+        capture = 1e-6 * poly.diameter()
+    z = poly.z  # only ever rebound, never written in place: rows need no copies
     t = 0.0
     steps = 0
     rec_t = [0.0]
-    rec_z = [z.copy()]
+    rec_z = [z]
     while True:
         if geometry._diameter(z) < cfg.stop_diameter:
             termination = Termination.COLLAPSED
             break
-        if flow.kind is FlowKind.BISECTOR and capture > 0.0 and geometry._edge_lengths(z).min() < capture:
+        if capture > 0.0 and geometry._edge_lengths(z).min() < capture:
             termination = Termination.CAPTURE
             break
         remaining = cfg.t_end - t
@@ -175,28 +177,20 @@ def run(poly: Polygon, flow: FlowSpec, cfg: SimConfig) -> Trajectory:
             break
         last = remaining <= cfg.dt
         dt_eff = remaining if last else cfg.dt
-        if cfg.adaptive and flow.kind is FlowKind.MENGER_MELNIKOV:
-            try:
-                v = fld(z)
-            except FlowDegeneracyError:
-                termination = Termination.DEGENERATE
-                break
-            vmax = float(np.abs(v).max())
-            if vmax > 0.0:
-                cap_dt = CURVATURE_STEP_FRACTION * float(geometry._edge_lengths(z).min()) / vmax
-                if cap_dt < dt_eff:
-                    dt_eff = cap_dt
-                    last = False
-            if dt_eff < 1e-15 * cfg.dt:
-                # step size collapsed; the flow is too stiff to advance
-                termination = Termination.DEGENERATE
-                break
         try:
-            z_new = _rk4(z, fld, dt_eff)
+            k1 = fld(z)
+            if adaptive:
+                vmax = float(np.abs(k1).max())
+                if vmax > 0.0:
+                    cap_dt = CURVATURE_STEP_FRACTION * float(geometry._edge_lengths(z).min()) / vmax
+                    if cap_dt < dt_eff:
+                        dt_eff = cap_dt
+                        last = False
+            # a step too small to advance t means the flow is too stiff
+            z_new = None if dt_eff < 1e-15 * cfg.dt or t + dt_eff == t else _rk4(z, fld, dt_eff, k1)
         except FlowDegeneracyError:
-            termination = Termination.DEGENERATE
-            break
-        if not np.isfinite(z_new).all():
+            z_new = None
+        if z_new is None or not np.isfinite(z_new).all():
             termination = Termination.DEGENERATE
             break
         z = z_new
@@ -204,11 +198,11 @@ def run(poly: Polygon, flow: FlowSpec, cfg: SimConfig) -> Trajectory:
         steps += 1
         if steps % cfg.record_every == 0:
             rec_t.append(t)
-            rec_z.append(z.copy())
+            rec_z.append(z)
     if rec_t[-1] != t:
         rec_t.append(t)
-        rec_z.append(z.copy())
-    return _build_trajectory(rec_t, rec_z, termination)
+        rec_z.append(z)
+    return Trajectory(rec_t, rec_z, termination)
 
 
 class TrajectoryPredicate(enum.Enum):

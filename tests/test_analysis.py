@@ -37,7 +37,7 @@ from polyshort.io_cli import (
     GeneratorSpec,
     generate,
 )
-from polyshort.simulate import SimConfig, Termination, Trajectory, _build_trajectory, run
+from polyshort.simulate import SimConfig, Termination, Trajectory, run
 from polyshort.spectral import DegenerateLeadingModeError, eigenvalues, leading_decay_rate
 
 UNIT_SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -49,7 +49,7 @@ def regular_ngon(n, radius=1.0):
 
 
 def make_traj(states, termination=Termination.T_END):
-    return _build_trajectory(
+    return Trajectory(
         np.arange(len(states), dtype=float), [s.z for s in states], termination
     )
 

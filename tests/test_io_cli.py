@@ -206,6 +206,8 @@ class TestScenario:
             {"sim": {"t_end": 1.0, "dt": math.inf}},
             {"sim": {"t_end": 1.0, "stop_diameter": math.nan}},
             {"sim": {"t_end": 1.0, "min_edge_capture": math.nan}},
+            {"outputs": 5},
+            {"outputs": [["csv"]]},
         ],
     )
     def test_malformed_documents_rejected(self, mutation):
@@ -265,16 +267,7 @@ class TestTrajectoryCsv:
             assert np.array_equal(a.z, b.z)
 
     def test_rejects_empty_trajectory(self, tmp_path):
-        empty = Trajectory(
-            times=np.array([]),
-            z=np.empty((0, 3), complex),
-            perimeter=np.array([]),
-            signed_area=np.array([]),
-            min_f=np.array([]),
-            min_h=np.array([]),
-            min_edge=np.array([]),
-            termination=Termination.T_END,
-        )
+        empty = Trajectory(times=np.array([]), z=np.empty((0, 3), complex), termination=Termination.T_END)
         with pytest.raises(ValueError):
             write_trajectory_csv(empty, tmp_path / "e.csv")
 
@@ -289,6 +282,12 @@ class TestTrajectoryCsv:
             "t,x1,y1,x2,y2,x3,y3,perimeter,area,minF,minH,edge\n" + "0," * 11 + "0\n# termination=T_END\n",
             "t,x1,y1,x2,y2,x3,y3,perimeter,area,minF,minH,min_edge\n" + "0," * 11 + "abc\n# termination=T_END\n",
             "t,x1,y1,x2,y2,x3,y3,perimeter,area,minF,minH,min_edge\n" + "0," * 11 + "nan\n# termination=T_END\n",
+            # an all-zero row is self-consistent: every diagnostic of it is 0
+            "t,x1,y1,x2,y2,x3,y3,perimeter,area,minF,minH,min_edge\n" + "0," * 11 + "0\n"
+            "0.5,0,0,0,0,0,0,99,0,0,0,0\n# termination=T_END\n",
+            "t,x1,y1,x2,y2,x3,y3,perimeter,area,minF,minH,min_edge\n0.5," + "0," * 10 + "0\n# termination=T_END\n",
+            "t,x1,y1,x2,y2,x3,y3,perimeter,area,minF,minH,min_edge\n" + "0," * 11 + "0\n"
+            "0.5," + "0," * 10 + "0\n0.1," + "0," * 10 + "0\n# termination=T_END\n",
         ],
     )
     def test_rejects_malformed_files(self, tmp_path, text):
@@ -328,16 +327,7 @@ class TestRenderSvg:
         assert render_svg(traj) == render_svg(traj)
 
     def test_rejects_empty(self):
-        empty = Trajectory(
-            times=np.array([]),
-            z=np.empty((0, 3), complex),
-            perimeter=np.array([]),
-            signed_area=np.array([]),
-            min_f=np.array([]),
-            min_h=np.array([]),
-            min_edge=np.array([]),
-            termination=Termination.T_END,
-        )
+        empty = Trajectory(times=np.array([]), z=np.empty((0, 3), complex), termination=Termination.T_END)
         with pytest.raises(ValueError):
             render_svg(empty)
 
@@ -435,6 +425,25 @@ class TestCli:
         assert len(err) == 1
         assert err[0].startswith("error:") and "t.csv" in err[0] and "BOGUS" in err[0]
 
+    def test_analyze_tampered_csv_is_usage_error(self, tmp_path, capsys):
+        csv = tmp_path / "t.csv"
+        write_trajectory_csv(small_trajectory(), csv)
+        lines = csv.read_text(encoding="utf-8").splitlines()
+        cells = lines[2].split(",")
+        cells[7] = "99"  # the perimeter of the second sample
+        lines[2] = ",".join(cells)
+        csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert cli_main(["analyze", "--csv", str(csv)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "t.csv" in err[0] and "perimeter" in err[0]
+
+    def test_directory_path_is_usage_error(self, tmp_path, capsys):
+        for argv in (["simulate", "--scenario", str(tmp_path)], ["analyze", "--csv", str(tmp_path)]):
+            assert cli_main(argv) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:")
+
     def test_simulate_string_adaptive_is_usage_error(self, tmp_path, capsys):
         sim = {"t_end": 0.5, "dt": 0.01, "adaptive": "false"}
         sc = write_scenario(tmp_path, sim=sim)
@@ -456,14 +465,29 @@ class TestCli:
         assert "NOT_APPLICABLE" in capsys.readouterr().out
 
     def test_analyze_json_report(self, tmp_path, capsys):
+        def strict(text):
+            # Infinity and NaN are not JSON
+            return json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in the report"))
+
         sc = write_scenario(tmp_path, outputs=["csv"])
         assert cli_main(["simulate", "--scenario", str(sc), "--out-dir", str(tmp_path)]) == 0
         out_json = tmp_path / "rep.json"
         assert cli_main(["analyze", "--csv", str(tmp_path / "sq.csv"), "--checks", "perimeter", "--out-json", str(out_json)]) == 0
         capsys.readouterr()
-        doc = json.loads(out_json.read_text(encoding="utf-8"))
+        doc = strict(out_json.read_text(encoding="utf-8"))
         assert doc["passed"] is True
         assert doc["checks"][0]["check_name"] == "perimeter_monotone"
+        # shorter than one leading time constant: the ellipse check has no margin
+        sc = write_scenario(
+            tmp_path, name="short", polygon={"generator": {"kind": "random_star", "n": 8}},
+            sim={"t_end": 0.5, "dt": 0.01, "record_every": 10}, outputs=["csv"],
+        )
+        assert cli_main(["simulate", "--scenario", str(sc), "--out-dir", str(tmp_path)]) == 0
+        assert cli_main(["analyze", "--csv", str(tmp_path / "short.csv"), "--checks", "ellipse", "--out-json", str(out_json)]) == 0
+        capsys.readouterr()
+        doc = strict(out_json.read_text(encoding="utf-8"))
+        assert doc["checks"][0]["check_name"] == "ellipse_convergence"
+        assert doc["checks"][0]["worst_margin"] is None
 
     def test_reproduce_fig8_area_check_fails(self, tmp_path, capsys):
         assert cli_main(["reproduce", "fig8", "--out-dir", str(tmp_path)]) == 0

@@ -33,7 +33,7 @@ from polyshort.geometry import (  # noqa: E402
     star_values,
 )
 from polyshort.io_cli import read_trajectory_csv, write_trajectory_csv  # noqa: E402
-from polyshort.simulate import Termination, _build_trajectory  # noqa: E402
+from polyshort.simulate import Termination, Trajectory  # noqa: E402
 
 _TWO_PI = 2.0 * np.pi
 
@@ -166,7 +166,7 @@ def test_perimeter_rate(poly, vel):
 
 @given(STACK)
 def test_trajectory_columns(z):
-    traj = _build_trajectory(np.arange(z.shape[0], dtype=float), list(z), Termination.T_END)
+    traj = Trajectory(np.arange(z.shape[0], dtype=float), list(z), Termination.T_END)
     states = traj.states
     assert same_bits(traj.z.view(np.float64), z.view(np.float64))
     assert same_bits(traj.perimeter, [perimeter(s) for s in states])

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from polyshort import geometry
+from polyshort import flows, geometry
 from polyshort.flows import DegenerateTripleError, FlowSpec
 from polyshort.geometry import Polygon
-from polyshort.io_cli import _BOOMERANG_VERTICES
+from polyshort.io_cli import _BOOMERANG_VERTICES, GeneratorKind, GeneratorSpec, generate
 from polyshort.simulate import (
     SimConfig,
     Termination,
+    Trajectory,
     TrajectoryPredicate,
     _rk4,
     detect_first,
@@ -57,6 +58,20 @@ class TestSimConfig:
                 SimConfig(t_end=1.0, min_edge_capture=bad)
 
 
+class TestTrajectory:
+    @pytest.mark.parametrize("times", [[0.0, 1.0], [0.5, 1.0, 2.0], [0.0, 1.0, 1.0], [0.0, 2.0, 1.0]])
+    def test_rejects_bad_times(self, times):
+        z = np.tile(UNIT_SQUARE.z, (3, 1))
+        with pytest.raises(ValueError):
+            Trajectory(times, z, Termination.T_END)
+
+    def test_diagnostics_are_read_only(self):
+        traj = Trajectory([0.0], UNIT_SQUARE.z[None, :], Termination.T_END)
+        assert traj.perimeter.tolist() == [4.0]
+        with pytest.raises(ValueError):
+            traj.perimeter[0] = 0.0
+
+
 class TestStepRk4:
     def test_eigenvector_gets_degree_four_taylor(self):
         # pure mode: one step multiplies by the quartic Taylor polynomial of exp
@@ -69,7 +84,7 @@ class TestStepRk4:
 
     def test_zero_field_is_fixed_point(self):
         z = np.array([0.1 + 0.2j, 1.0 - 0.5j, -0.4 + 0.9j])
-        out = _rk4(z, lambda w: np.zeros_like(w), 0.7)
+        out = _rk4(z, lambda w: np.zeros_like(w), 0.7, np.zeros_like(z))
         assert np.array_equal(out, z)
 
     def test_rejects_nonpositive_dt(self):
@@ -165,6 +180,27 @@ class TestRunMengerMelnikov:
         traj = run(regular_ngon(3), FlowSpec.menger_melnikov(), SimConfig(t_end=4.0, dt=2.0, adaptive=False))
         assert traj.termination is Termination.DEGENERATE
         assert len(traj) == 1
+
+    def test_step_that_does_not_advance_time_degenerates(self):
+        # near collapse the capped step falls below the spacing of doubles at t
+        star = generate(GeneratorSpec(GeneratorKind.RANDOM_STAR, n=3), 0)
+        cfg = SimConfig(t_end=1e6, dt=1.0, stop_diameter=0.0, record_every=1)
+        traj = run(Polygon(10.0 * star.z), FlowSpec.menger_melnikov(), cfg)
+        assert traj.termination is Termination.DEGENERATE
+        assert np.all(np.diff(traj.times) > 0)
+
+    def test_four_field_evaluations_per_adaptive_step(self, monkeypatch):
+        calls = []
+        field = flows._menger_melnikov_field
+
+        def counted(z):
+            calls.append(1)
+            return field(z)
+
+        monkeypatch.setattr(flows, "_menger_melnikov_field", counted)
+        traj = run(DIAMOND, FlowSpec.menger_melnikov(), SimConfig(t_end=0.1, dt=1e-2, record_every=1))
+        assert traj.termination is Termination.T_END
+        assert len(calls) == 4 * (len(traj) - 1)
 
 
 class TestRunBisector:
