@@ -6,10 +6,12 @@ Run from the repository root:
 
 It writes, into a temporary directory, the ``validate --seed 1`` report JSON,
 every file of ``reproduce fig7``, ``fig8``, ``fig9`` and ``fig10``, the CSV,
-SVG and summary JSON of ``simulate`` on an adaptive Menger-Melnikov scenario,
-and the ``analyze`` report JSON of every check on ``fig8.csv`` and on that
-scenario's ``mm_star.csv``, then
-prints ``<sha256>  <file>`` for each file in name order.  Run it before and
+SVG and summary JSON of ``simulate`` on three scenarios (an adaptive
+Menger-Melnikov run of a generator polygon, a Menger-Melnikov run of a
+polygon with a straight vertex, and a UNIT-speed bisector run), and the
+``analyze`` report JSON of every check on ``fig8.csv`` and on the first
+scenario's ``mm_star.csv``, then prints ``<sha256>  <file>`` for each file in
+name order.  Run it before and
 after a change and diff the two outputs: any difference is a changed artifact.
 """
 
@@ -35,26 +37,50 @@ def _cli(*argv) -> None:
         cli_main([str(a) for a in argv])
 
 
-# a generator polygon under the adaptive Menger-Melnikov flow, written with
-# every output kind, so render_svg draws its default snapshots; dt is large
-# enough that the curvature cap shortens every step
-_MM_SCENARIO = {
-    "name": "mm_star",
-    "polygon": {"generator": {"kind": "random_star", "n": 9}},
-    "flow": {"kind": "menger_melnikov"},
-    "sim": {"t_end": 0.5, "dt": 0.05, "record_every": 2},
-    "seed": 7,
-    "outputs": ["csv", "svg", "report_json"],
-}
+_OUTPUTS = ["csv", "svg", "report_json"]
+
+# Each scenario is written with every output kind, so render_svg draws its
+# default snapshots.
+_SCENARIOS = [
+    # a generator polygon under the adaptive Menger-Melnikov flow; dt is large
+    # enough that the curvature cap shortens every step
+    {
+        "name": "mm_star",
+        "polygon": {"generator": {"kind": "random_star", "n": 9}},
+        "flow": {"kind": "menger_melnikov"},
+        "sim": {"t_end": 0.5, "dt": 0.05, "record_every": 2},
+        "seed": 7,
+        "outputs": _OUTPUTS,
+    },
+    # vertex 1 is straight, so its curvature triple is collinear and its first
+    # Menger-Melnikov velocity is the zero branch
+    {
+        "name": "mm_straight",
+        "polygon": {"vertices": [[0, 0], [1, 0], [2, 0], [2, 2], [0, 2]]},
+        "flow": {"kind": "menger_melnikov"},
+        "sim": {"t_end": 0.3, "dt": 0.02, "record_every": 3},
+        "outputs": _OUTPUTS,
+    },
+    # fig9 runs only the NORM_MATCHED bisector flow
+    {
+        "name": "bisector_unit",
+        "polygon": {"generator": {"kind": "random_convex", "n": 10}},
+        "flow": {"kind": "bisector", "speed_mode": "unit", "speed": 0.5},
+        "sim": {"t_end": 1.0, "dt": 0.01, "record_every": 5},
+        "seed": 5,
+        "outputs": _OUTPUTS,
+    },
+]
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        scenario = Path(tmp) / "mm_star.json"
-        scenario.write_text(json.dumps(_MM_SCENARIO), encoding="utf-8")
         out = Path(tmp) / "out"
         out.mkdir()
-        _cli("simulate", "--scenario", scenario, "--out-dir", out)
+        for doc in _SCENARIOS:
+            scenario = Path(tmp) / f"{doc['name']}.json"
+            scenario.write_text(json.dumps(doc), encoding="utf-8")
+            _cli("simulate", "--scenario", scenario, "--out-dir", out)
         _cli("validate", "--seed", 1, "--out-json", out / "validate.json")
         for fig in ("fig7", "fig8", "fig9", "fig10"):
             _cli("reproduce", fig, "--out-dir", out)

@@ -29,6 +29,7 @@ __all__ = [
     "PreconditionNotStarError",
     "PreconditionNotConvexError",
     "NotSimpleError",
+    "PreconditionTooShortError",
     "perimeter_rate",
     "check_perimeter_monotone",
     "check_star_preservation",
@@ -56,6 +57,10 @@ class PreconditionNotConvexError(ValueError):
 
 class NotSimpleError(ValueError):
     """A sample is not a simple polygon, so its area is not a region area."""
+
+
+class PreconditionTooShortError(ValueError):
+    """No pair of samples lies past one leading time constant, where the ellipse check starts."""
 
 
 @dataclass(frozen=True)
@@ -99,16 +104,16 @@ def _report(name: str, first: float | None, worst: float, samples: int) -> Check
     )
 
 
-def _monotone_report(name, times, values, slack_ref, extra_violation=None, samples=None):
+def _monotone_report(name, times, values, extra_violation=None):
     # violation at pair (k, k+1) when values drops by no more than slack
     margins = values[:-1] - values[1:]
-    slack = MONOTONE_SLACK * slack_ref[:-1]
+    slack = MONOTONE_SLACK * values[:-1]
     bad = np.nonzero(margins <= slack)[0]
     first = float(times[bad[0] + 1]) if bad.size else None
     if first is None and extra_violation is not None:
         first = extra_violation
     worst = float((margins - slack).min()) if margins.size else math.inf
-    return _report(name, first, worst, samples if samples is not None else len(values))
+    return _report(name, first, worst, len(values))
 
 
 def check_perimeter_monotone(traj: Trajectory) -> CheckReport:
@@ -122,7 +127,7 @@ def check_perimeter_monotone(traj: Trajectory) -> CheckReport:
     extra = None
     if traj.termination is Termination.COLLAPSED and p[-1] >= COLLAPSE_PERIMETER_RATIO * p[0]:
         extra = float(traj.times[-1])
-    return _monotone_report("perimeter_monotone", traj.times, p, p, extra_violation=extra)
+    return _monotone_report("perimeter_monotone", traj.times, p, extra_violation=extra)
 
 
 def check_star_preservation(traj: Trajectory) -> CheckReport:
@@ -155,18 +160,11 @@ def check_convexity_preservation(traj: Trajectory) -> CheckReport:
     first_tag = geometry.classify_convexity(states[0]).tag
     if first_tag is ConvexityTag.NOT_CONVEX:
         raise PreconditionNotConvexError("initial state is not convex")
-    first = None
-    worst = math.inf
-    checked = 0
-    for t, s in zip(traj.times, states):
-        if t == 0.0:
-            continue
-        cls = geometry.classify_convexity(s)
-        checked += 1
-        worst = min(worst, float(cls.h_values.min()))
-        if cls.tag is not ConvexityTag.STRICTLY_CONVEX and first is None:
-            first = float(t)
-    return _report("convexity_preservation", first, worst, checked)
+    # times strictly increase from 0, so only row 0 is the initial state
+    classes = [geometry.classify_convexity(s) for s in states[1:]]
+    bad = (float(t) for t, c in zip(traj.times[1:], classes) if c.tag is not ConvexityTag.STRICTLY_CONVEX)
+    worst = min((float(c.h_values.min()) for c in classes), default=math.inf)
+    return _report("convexity_preservation", next(bad, None), worst, len(classes))
 
 
 def check_area_monotone(traj: Trajectory) -> CheckReport:
@@ -179,7 +177,7 @@ def check_area_monotone(traj: Trajectory) -> CheckReport:
         if not geometry.is_simple(s):
             raise NotSimpleError("trajectory contains a non-simple sample")
     mag = np.abs(traj.signed_area)
-    return _monotone_report("area_monotone", traj.times, mag, mag)
+    return _monotone_report("area_monotone", traj.times, mag)
 
 
 def ellipse_convergence_series(traj: Trajectory) -> list:
@@ -202,25 +200,20 @@ def check_ellipse_convergence(traj: Trajectory) -> CheckReport:
     When the run reaches six leading time constants, the final residual must
     also be below 1e-3; that failure is reported at the final sample time.
     Raises :class:`DegenerateLeadingModeError` when the initial state has no
-    leading-mode content.
+    leading-mode content, and :class:`PreconditionTooShortError` when no pair
+    of samples lies past one leading time constant.
     """
     series = ellipse_convergence_series(traj)
     rate = spectral.leading_decay_rate(traj.n)
-    first = None
-    worst = math.inf
-    checked = 0
-    for (t0, r0), (t1, r1) in zip(series, series[1:]):
-        if t0 * rate < 1.0:
-            continue
-        checked += 1
-        drop = r0 - r1
-        worst = min(worst, drop)
-        if r1 > r0 + 1e-12 * max(r0, 1e-30) + 1e-15 and first is None:
-            first = t1
+    pairs = [(p, q) for p, q in zip(series, series[1:]) if p[0] * rate >= 1.0]
+    if not pairs:
+        raise PreconditionTooShortError("no pair of samples past one leading time constant")
+    rises = (t1 for (_, r0), (t1, r1) in pairs if r1 > r0 + 1e-12 * max(r0, 1e-30) + 1e-15)
+    first = next(rises, None)
     t_last, r_last = series[-1]
     if first is None and t_last * rate >= 6.0 and r_last >= 1e-3:
         first = t_last
-    return _report("ellipse_convergence", first, worst, checked)
+    return _report("ellipse_convergence", first, min(r0 - r1 for (_, r0), (_, r1) in pairs), len(pairs))
 
 
 def _bound_report(name: str, traj: Trajectory, value: float, bound: float) -> CheckReport:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Polygon, circumcircle
+from .geometry import Polygon, _circumcircles, _next, _prev
 
 __all__ = [
     "FlowKind",
@@ -131,25 +131,22 @@ class VelocityField:
 
 
 def _linear_field(z: np.ndarray) -> np.ndarray:
-    return 0.5 * (np.roll(z, -1) + np.roll(z, 1)) - z
+    return 0.5 * (_next(z) + _prev(z)) - z
 
 
 def _menger_melnikov_field(z: np.ndarray) -> np.ndarray:
-    zp = np.roll(z, 1)
-    zn = np.roll(z, -1)
+    zp = _prev(z)
+    zn = _next(z)
     if np.any(zp == z) or np.any(zp == zn):
         raise DegenerateTripleError("coincident points in a curvature triple")
-    v = np.zeros_like(z)
-    for i in range(z.size):
-        circ = circumcircle(zp[i], z[i], zn[i])
-        if circ is not None:
-            v[i] = (circ.center - z[i]) / (circ.radius * circ.radius)
-    return v
+    center, radius, ok = _circumcircles(zp, z, zn)
+    # collinear triples keep velocity 0 and are never divided
+    return np.divide(center - z, radius * radius, out=np.zeros_like(z), where=ok)
 
 
 def _bisector_direction(z: np.ndarray) -> np.ndarray:
-    e_prev = np.roll(z, 1) - z
-    e_next = np.roll(z, -1) - z
+    e_prev = _prev(z) - z
+    e_next = _next(z) - z
     lp = np.abs(e_prev)
     ln = np.abs(e_next)
     if np.any(lp == 0.0) or np.any(ln == 0.0):
@@ -162,9 +159,7 @@ def _bisector_field(z: np.ndarray, spec: FlowSpec) -> np.ndarray:
     if spec.bisector_speed_mode is BisectorSpeedMode.NORM_MATCHED:
         return 0.5 * d
     mag = np.abs(d)
-    safe = np.where(mag > ANTIPARALLEL_TOL, mag, 1.0)
-    u = spec.bisector_speed * d / safe
-    return np.where(mag > ANTIPARALLEL_TOL, u, 0.0 + 0.0j)
+    return np.divide(spec.bisector_speed * d, mag, out=np.zeros_like(d), where=mag > ANTIPARALLEL_TOL)
 
 
 def _field_function(spec: FlowSpec):

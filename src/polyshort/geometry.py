@@ -144,9 +144,19 @@ def _diameter(z: np.ndarray) -> float:
 # along the last axis; the public per-polygon functions call them.
 
 
+def _next(z: np.ndarray) -> np.ndarray:
+    """z_{i+1}, cyclically along the last axis."""
+    return np.concatenate((z[..., 1:], z[..., :1]), axis=-1)
+
+
+def _prev(z: np.ndarray) -> np.ndarray:
+    """z_{i-1}, cyclically along the last axis."""
+    return np.concatenate((z[..., -1:], z[..., :-1]), axis=-1)
+
+
 def _edge_lengths(z: np.ndarray) -> np.ndarray:
     # |z_{i+1} - z_i|, edge i running from vertex i to vertex i+1
-    return np.abs(np.roll(z, -1, axis=-1) - z)
+    return np.abs(_next(z) - z)
 
 
 def _cross(u, w):
@@ -160,16 +170,16 @@ def _dot(u, w):
 
 
 def _signed_area(z: np.ndarray) -> np.ndarray:
-    return 0.5 * np.sum(_cross(z, np.roll(z, -1, axis=-1)), axis=-1)
+    return 0.5 * np.sum(_cross(z, _next(z)), axis=-1)
 
 
 def _star_values(z: np.ndarray) -> np.ndarray:
     w = z - z.mean(axis=-1, keepdims=True)
-    return _cross(w, np.roll(w, -1, axis=-1))
+    return _cross(w, _next(w))
 
 
 def _convexity_values(z: np.ndarray) -> np.ndarray:
-    return _cross(np.roll(z, -1, axis=-1) - z, np.roll(z, 1, axis=-1) - z)
+    return _cross(_next(z) - z, _prev(z) - z)
 
 
 def centroid(poly: Polygon) -> complex:
@@ -265,8 +275,7 @@ def classify_star(poly: Polygon) -> StarClass:
     z = poly.z
     w = z - z.mean()
     r = np.abs(w)
-    wn = np.roll(w, -1)
-    alpha = np.arctan2(_cross(w, wn), _dot(w, wn))
+    alpha = np.arctan2(_star_values(z), _dot(w, _next(w)))
     r_tol = PREDICATE_TOL * _diameter(z)
     tag = StarTag.NOT_STAR
     if np.all(r > r_tol):
@@ -310,8 +319,8 @@ def classify_convexity(poly: Polygon) -> ConvexityClass:
     ``NOT_CONVEX``.
     """
     z = poly.z
-    u = np.roll(z, 1) - z
-    w = np.roll(z, -1) - z
+    u = _prev(z) - z
+    w = _next(z) - z
     if signed_area(poly) < 0.0:
         u, w = w, u
     h = _cross(w, u)
@@ -381,21 +390,15 @@ def is_simple(poly: Polygon) -> bool:
     Adjacent sides must meet only at their shared vertex, so a side doubling
     back over its neighbor makes the circuit non-simple.
     """
-    pts = poly.z.tolist()
+    z = poly.z
+    u = _prev(z) - z
+    w = _next(z) - z
+    scale = np.maximum(np.abs(u.real) + np.abs(u.imag), np.abs(w.real) + np.abs(w.imag))
+    # a side doubling back over its neighbor: both sides leave a vertex one way
+    if np.any((np.abs(_cross(u, w)) <= PREDICATE_TOL * scale * scale) & (_dot(u, w) > 0.0)):
+        return False
+    pts = z.tolist()
     n = len(pts)
-    for i in range(n):
-        a = pts[i - 1]
-        v = pts[i]
-        c = pts[(i + 1) % n]
-        ur = a.real - v.real
-        ui = a.imag - v.imag
-        wr = c.real - v.real
-        wi = c.imag - v.imag
-        scale = max(abs(ur) + abs(ui), abs(wr) + abs(wi))
-        cross = ur * wi - ui * wr
-        dot = ur * wr + ui * wi
-        if abs(cross) <= PREDICATE_TOL * scale * scale and dot > 0.0:
-            return False
     for i in range(n):
         p1 = pts[i]
         q1 = pts[(i + 1) % n]
@@ -415,6 +418,42 @@ class Circumcircle:
     radius: float
 
 
+def _hypot(u):
+    # bit-equal to Python's abs(complex), which np.abs is not
+    return np.hypot(u.real, u.imag)
+
+
+def _circumcircles(a, b, c):
+    """Elementwise ``(center, radius, ok)`` of the circles through ``(a, b, c)``.
+
+    ``ok`` is False where :func:`circumcircle` finds the triple collinear;
+    there ``center`` and ``radius`` are 0 and nothing was divided.
+    """
+    a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
+    scale = np.maximum(np.maximum(_hypot(a - b), _hypot(b - c)), _hypot(a - c))
+    ok = ~((scale == 0.0) | (np.abs(_cross(a - b, c - b)) <= PREDICATE_TOL * scale * scale))
+    center = np.zeros(ok.shape, dtype=np.complex128)
+    radius = np.zeros(ok.shape)
+    a, b, c = a[ok], b[ok], c[ok]
+    # shift to the triple's mean so the quadratic terms stay well conditioned
+    shift = a + b + c
+    sx, sy = shift.real / 3.0, shift.imag / 3.0
+    x1, y1 = a.real - sx, a.imag - sy
+    x2, y2 = b.real - sx, b.imag - sy
+    x3, y3 = c.real - sx, c.imag - sy
+    d = 2.0 * (x1 * (y2 - y3) + x2 * (y3 - y1) + x3 * (y1 - y2))
+    s1 = x1 * x1 + y1 * y1
+    s2 = x2 * x2 + y2 * y2
+    s3 = x3 * x3 + y3 * y3
+    cx = (s1 * (y2 - y3) + s2 * (y3 - y1) + s3 * (y1 - y2)) / d + sx
+    cy = (s1 * (x3 - x2) + s2 * (x1 - x3) + s3 * (x2 - x1)) / d + sy
+    center.real[ok] = cx
+    center.imag[ok] = cy
+    cc = center[ok]
+    radius[ok] = (_hypot(cc - a) + _hypot(cc - b) + _hypot(cc - c)) / 3.0
+    return center, radius, ok
+
+
 def circumcircle(a: complex, b: complex, c: complex):
     """Circle through three points, or ``None`` when they are collinear.
 
@@ -423,23 +462,5 @@ def circumcircle(a: complex, b: complex, c: complex):
     points included), in which case the circle degenerates to a line and
     ``None`` is returned.
     """
-    a = complex(a)
-    b = complex(b)
-    c = complex(c)
-    scale = max(abs(a - b), abs(b - c), abs(a - c))
-    if scale == 0.0 or abs(star_function(a, b, c)) <= PREDICATE_TOL * scale * scale:
-        return None
-    # shift to the triple's mean so the quadratic terms stay well conditioned
-    shift = (a + b + c) / 3.0
-    x1, y1 = a.real - shift.real, a.imag - shift.imag
-    x2, y2 = b.real - shift.real, b.imag - shift.imag
-    x3, y3 = c.real - shift.real, c.imag - shift.imag
-    d = 2.0 * (x1 * (y2 - y3) + x2 * (y3 - y1) + x3 * (y1 - y2))
-    s1 = x1 * x1 + y1 * y1
-    s2 = x2 * x2 + y2 * y2
-    s3 = x3 * x3 + y3 * y3
-    ux = (s1 * (y2 - y3) + s2 * (y3 - y1) + s3 * (y1 - y2)) / d
-    uy = (s1 * (x3 - x2) + s2 * (x1 - x3) + s3 * (x2 - x1)) / d
-    center = complex(ux + shift.real, uy + shift.imag)
-    radius = (abs(center - a) + abs(center - b) + abs(center - c)) / 3.0
-    return Circumcircle(center=center, radius=radius)
+    center, radius, ok = _circumcircles(complex(a), complex(b), complex(c))
+    return Circumcircle(center=complex(center), radius=float(radius)) if ok else None

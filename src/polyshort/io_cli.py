@@ -624,6 +624,7 @@ def _cmd_analyze(args) -> int:
             PreconditionNotStarError,
             PreconditionNotConvexError,
             analysis.NotSimpleError,
+            analysis.PreconditionTooShortError,
             spectral.DegenerateLeadingModeError,
         ) as exc:
             not_applicable.append((name, str(exc)))

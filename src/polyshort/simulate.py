@@ -125,6 +125,13 @@ class Trajectory:
     def __len__(self) -> int:
         return self.times.size
 
+    def __eq__(self, other) -> bool:
+        # bit for bit: a rerun of the same scenario reproduces every sample
+        if not isinstance(other, Trajectory) or self.termination is not other.termination:
+            return False
+        pairs = ((self.times, other.times), (self.z, other.z))
+        return all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in pairs)
+
 
 def _rk4(z: np.ndarray, fld, dt: float, k1: np.ndarray) -> np.ndarray:
     k2 = fld(z + (0.5 * dt) * k1)

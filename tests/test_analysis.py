@@ -11,6 +11,7 @@ from polyshort.analysis import (
     NotSimpleError,
     PreconditionNotConvexError,
     PreconditionNotStarError,
+    PreconditionTooShortError,
     check_area_monotone,
     check_convexity_preservation,
     check_ellipse_convergence,
@@ -269,6 +270,15 @@ class TestCheckEllipseConvergence:
         rep = check_ellipse_convergence(back)
         assert not rep.passed
         assert rep.worst_margin < 0.0
+
+    def test_run_shorter_than_one_time_constant_does_not_apply(self):
+        # the last pair starts before t = 1 / rate, so no pair is compared
+        poly = generate(GeneratorSpec(GeneratorKind.RANDOM_STAR, n=8), 3)
+        rate = leading_decay_rate(8)
+        traj = run(poly, FlowSpec.linear(), SimConfig(t_end=1.5 / rate, dt=0.05 / rate, record_every=15))
+        assert traj.times[-2] * rate < 1.0 <= traj.times[-1] * rate
+        with pytest.raises(PreconditionTooShortError):
+            check_ellipse_convergence(traj)
 
     def test_frequency_two_loop_is_degenerate(self):
         loop = Polygon(np.exp(4j * np.pi * np.arange(7) / 7))

@@ -477,17 +477,16 @@ class TestCli:
         doc = strict(out_json.read_text(encoding="utf-8"))
         assert doc["passed"] is True
         assert doc["checks"][0]["check_name"] == "perimeter_monotone"
-        # shorter than one leading time constant: the ellipse check has no margin
+        # shorter than one leading time constant: the ellipse check does not apply
         sc = write_scenario(
             tmp_path, name="short", polygon={"generator": {"kind": "random_star", "n": 8}},
             sim={"t_end": 0.5, "dt": 0.01, "record_every": 10}, outputs=["csv"],
         )
         assert cli_main(["simulate", "--scenario", str(sc), "--out-dir", str(tmp_path)]) == 0
-        assert cli_main(["analyze", "--csv", str(tmp_path / "short.csv"), "--checks", "ellipse", "--out-json", str(out_json)]) == 0
-        capsys.readouterr()
+        assert cli_main(["analyze", "--csv", str(tmp_path / "short.csv"), "--checks", "ellipse", "--out-json", str(out_json)]) == 1
+        assert "NOT_APPLICABLE  ellipse: no pair of samples past one leading time constant" in capsys.readouterr().out
         doc = strict(out_json.read_text(encoding="utf-8"))
-        assert doc["checks"][0]["check_name"] == "ellipse_convergence"
-        assert doc["checks"][0]["worst_margin"] is None
+        assert doc["checks"] == []
 
     def test_reproduce_fig8_area_check_fails(self, tmp_path, capsys):
         assert cli_main(["reproduce", "fig8", "--out-dir", str(tmp_path)]) == 0

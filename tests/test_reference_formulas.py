@@ -1,11 +1,13 @@
-"""Turning values, angles and the perimeter rate against their original formulas.
+"""Turning values, angles, fields and the circumcircle against their original formulas.
 
 Each quantity below once had its own hand-written copy of Im{conj(u) * w},
 Re{conj(u) * w}, the edge lengths or the bisector direction.  The copies are
 kept here, written out as they were, and the single implementations in the
 package must reproduce them bit for bit, signed zeros included.  The same
 holds for the per-sample trajectory columns, which are computed row-wise on
-the whole ``(S, n)`` stack of samples at once.
+the whole ``(S, n)`` stack of samples at once, and for the flows, whose
+cyclic neighbours were once taken with ``np.roll`` and whose Menger-Melnikov
+field once called the scalar circumcircle in a per-vertex loop.
 """
 
 import tempfile
@@ -20,13 +22,26 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from polyshort.analysis import perimeter_rate  # noqa: E402
-from polyshort.flows import CoincidentVerticesError  # noqa: E402
+from polyshort.flows import (  # noqa: E402
+    ANTIPARALLEL_TOL,
+    CoincidentVerticesError,
+    DegenerateTripleError,
+    FlowSpec,
+    _bisector_direction,
+    _bisector_field,
+    _linear_field,
+    _menger_melnikov_field,
+)
 from polyshort.geometry import (  # noqa: E402
+    PREDICATE_TOL,
     Polygon,
+    _segments_touch,
+    circumcircle,
     classify_convexity,
     classify_star,
     convex_function,
     convexity_values,
+    is_simple,
     perimeter,
     signed_area,
     star_function,
@@ -113,15 +128,108 @@ def ref_convexity(z):
     return h, np.where(beta < 0.0, beta + _TWO_PI, beta)
 
 
-def ref_perimeter_rate(z, u):
+def ref_bisector_direction(z):
     e_prev = np.roll(z, 1) - z
     e_next = np.roll(z, -1) - z
     lp = np.abs(e_prev)
     ln = np.abs(e_next)
     if np.any(lp == 0.0) or np.any(ln == 0.0):
         raise CoincidentVerticesError("zero-length edge")
-    d = e_prev / lp + e_next / ln
+    return e_prev / lp + e_next / ln
+
+
+def ref_perimeter_rate(z, u):
+    d = ref_bisector_direction(z)
     return -float(np.sum(d.real * u.real + d.imag * u.imag))
+
+
+def ref_linear_field(z):
+    return 0.5 * (np.roll(z, -1) + np.roll(z, 1)) - z
+
+
+def ref_unit_bisector_field(z, speed):
+    d = ref_bisector_direction(z)
+    mag = np.abs(d)
+    safe = np.where(mag > ANTIPARALLEL_TOL, mag, 1.0)
+    u = speed * d / safe
+    return np.where(mag > ANTIPARALLEL_TOL, u, 0.0 + 0.0j)
+
+
+def ref_circumcircle(a, b, c):
+    # (center, radius), or None for a collinear triple
+    a = complex(a)
+    b = complex(b)
+    c = complex(c)
+    scale = max(abs(a - b), abs(b - c), abs(a - c))
+    if scale == 0.0 or abs(ref_star_function(a, b, c)) <= PREDICATE_TOL * scale * scale:
+        return None
+    shift = (a + b + c) / 3.0
+    x1, y1 = a.real - shift.real, a.imag - shift.imag
+    x2, y2 = b.real - shift.real, b.imag - shift.imag
+    x3, y3 = c.real - shift.real, c.imag - shift.imag
+    d = 2.0 * (x1 * (y2 - y3) + x2 * (y3 - y1) + x3 * (y1 - y2))
+    s1 = x1 * x1 + y1 * y1
+    s2 = x2 * x2 + y2 * y2
+    s3 = x3 * x3 + y3 * y3
+    ux = (s1 * (y2 - y3) + s2 * (y3 - y1) + s3 * (y1 - y2)) / d
+    uy = (s1 * (x3 - x2) + s2 * (x1 - x3) + s3 * (x2 - x1)) / d
+    center = complex(ux + shift.real, uy + shift.imag)
+    radius = (abs(center - a) + abs(center - b) + abs(center - c)) / 3.0
+    return center, radius
+
+
+def ref_menger_melnikov_field(z):
+    zp = np.roll(z, 1)
+    zn = np.roll(z, -1)
+    if np.any(zp == z) or np.any(zp == zn):
+        raise DegenerateTripleError("coincident points in a curvature triple")
+    v = np.zeros_like(z)
+    for i in range(z.size):
+        circ = ref_circumcircle(zp[i], z[i], zn[i])
+        if circ is not None:
+            center, radius = circ
+            # numpy complex scalar divided by a float, as in the original loop
+            v[i] = (center - z[i]) / (radius * radius)
+    return v
+
+
+def ref_is_simple(z):
+    pts = z.tolist()
+    n = len(pts)
+    for i in range(n):
+        a = pts[i - 1]
+        v = pts[i]
+        c = pts[(i + 1) % n]
+        ur = a.real - v.real
+        ui = a.imag - v.imag
+        wr = c.real - v.real
+        wi = c.imag - v.imag
+        scale = max(abs(ur) + abs(ui), abs(wr) + abs(wi))
+        cross = ur * wi - ui * wr
+        dot = ur * wr + ui * wi
+        if abs(cross) <= PREDICATE_TOL * scale * scale and dot > 0.0:
+            return False
+    for i in range(n):
+        p1 = pts[i]
+        q1 = pts[(i + 1) % n]
+        for j in range(i + 1, n):
+            if j == i + 1 or (i == 0 and j == n - 1):
+                continue
+            if _segments_touch(p1, q1, pts[j], pts[(j + 1) % n]):
+                return False
+    return True
+
+
+def outcome(fn, z):
+    """``fn(z)`` as float bits, or the flow degeneracy it raised."""
+    try:
+        return np.asarray(fn(z)).view(np.float64)
+    except (DegenerateTripleError, CoincidentVerticesError) as exc:
+        return type(exc)
+
+
+def same_outcome(a, b) -> bool:
+    return a is b if isinstance(a, type) or isinstance(b, type) else same_bits(a, b)
 
 
 @given(POINT, POINT, POINT)
@@ -181,3 +289,42 @@ def test_trajectory_columns(z):
     assert same_bits(back.z.view(np.float64), z.view(np.float64))
     for name in ("times", "perimeter", "signed_area", "min_f", "min_h", "min_edge"):
         assert same_bits(getattr(back, name), getattr(traj, name))
+
+
+@given(POINT, POINT, POINT)
+def test_circumcircle(a, b, c):
+    expected = ref_circumcircle(a, b, c)
+    circ = circumcircle(a, b, c)
+    if expected is None:
+        assert circ is None
+        return
+    assert type(circ.center) is complex and type(circ.radius) is float
+    assert same_bits([circ.center.real, circ.center.imag, circ.radius], [expected[0].real, expected[0].imag, expected[1]])
+
+
+# the fields take one circuit at a time, as their degeneracy checks look at
+# the whole circuit; a stack supplies circuits of the sizes above
+
+
+@given(STACK)
+def test_linear_and_bisector_fields(stack):
+    unit = FlowSpec.bisector(speed=1.5)
+    for z in stack:
+        assert same_bits(_linear_field(z).view(np.float64), ref_linear_field(z).view(np.float64))
+        assert same_outcome(outcome(_bisector_direction, z), outcome(ref_bisector_direction, z))
+        got = outcome(lambda w: _bisector_field(w, unit), z)
+        assert same_outcome(got, outcome(lambda w: ref_unit_bisector_field(w, 1.5), z))
+
+
+@given(STACK)
+def test_menger_melnikov_field(stack):
+    for z in stack:
+        # a collinear triple is masked before any division: no warning, no inf
+        with np.errstate(divide="raise", invalid="raise"):
+            got = outcome(_menger_melnikov_field, z)
+        assert same_outcome(got, outcome(ref_menger_melnikov_field, z))
+
+
+@given(CIRCUIT)
+def test_is_simple(poly):
+    assert is_simple(poly) is ref_is_simple(poly.z)

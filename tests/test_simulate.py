@@ -71,6 +71,18 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             traj.perimeter[0] = 0.0
 
+    def test_equality_is_bit_for_bit(self):
+        cfg = SimConfig(t_end=0.3, dt=0.01, record_every=5)
+        a = run(DIAMOND, FlowSpec.linear(), cfg)
+        assert a == run(DIAMOND, FlowSpec.linear(), cfg)
+        assert a != run(DIAMOND, FlowSpec.linear(), SimConfig(t_end=0.3, dt=0.02, record_every=5))
+        assert a != run(UNIT_SQUARE, FlowSpec.linear(), cfg)
+        assert a != Trajectory(a.times, a.z, Termination.COLLAPSED)
+        signed = a.z.copy()
+        signed[0, 0] = complex(1.0, -0.0)  # == 1+0j, but not bit for bit
+        assert a != Trajectory(a.times, signed, a.termination)
+        assert a != a.z
+
 
 class TestStepRk4:
     def test_eigenvector_gets_degree_four_taylor(self):
