@@ -6,13 +6,15 @@ Run from the repository root:
 
 It writes, into a temporary directory, the ``validate --seed 1`` report JSON,
 every file of ``reproduce fig7``, ``fig8``, ``fig9`` and ``fig10``, the CSV,
-SVG and summary JSON of ``simulate`` on three scenarios (an adaptive
+SVG and summary JSON of ``simulate`` on five scenarios (an adaptive
 Menger-Melnikov run of a generator polygon, a Menger-Melnikov run of a
-polygon with a straight vertex, and a UNIT-speed bisector run), and the
-``analyze`` report JSON of every check on ``fig8.csv`` and on the first
-scenario's ``mm_star.csv``, then prints ``<sha256>  <file>`` for each file in
-name order.  Run it before and
-after a change and diff the two outputs: any difference is a changed artifact.
+polygon with a straight vertex, a UNIT-speed bisector run, a densely recorded
+linear run of a convex polygon and a linear run of the ``embedded_loss``
+fixture), and the ``analyze`` report JSON of every check on ``fig8.csv`` and
+on the CSV of every scenario but the two straight-vertex and bisector ones,
+then prints ``<sha256>  <file>`` for each file in name order.  Run it before
+and after a change and diff the two outputs: any difference is a changed
+artifact.
 """
 
 from __future__ import annotations
@@ -70,6 +72,24 @@ _SCENARIOS = [
         "seed": 5,
         "outputs": _OUTPUTS,
     },
+    # every step recorded: the star, convexity and area checks pass with
+    # margins taken over 301 samples
+    {
+        "name": "linear_convex",
+        "polygon": {"generator": {"kind": "random_convex", "n": 12}},
+        "flow": {"kind": "linear"},
+        "sim": {"t_end": 3.0, "dt": 0.01, "record_every": 1},
+        "seed": 3,
+        "outputs": _OUTPUTS,
+    },
+    # loses simplicity mid-run, so the area check does not apply
+    {
+        "name": "embedded_loss",
+        "polygon": {"generator": {"kind": "embedded_loss"}},
+        "flow": {"kind": "linear"},
+        "sim": {"t_end": 1.5, "dt": 1e-3, "record_every": 10},
+        "outputs": _OUTPUTS,
+    },
 ]
 
 
@@ -86,7 +106,7 @@ def main() -> int:
             _cli("reproduce", fig, "--out-dir", out)
         # mm_star.csv has uneven adaptive times, so the reader's checks of the
         # times and the derived columns run on a real Menger-Melnikov file
-        for name in ("fig8", "mm_star"):
+        for name in ("fig8", "mm_star", "linear_convex", "embedded_loss"):
             _cli(
                 "analyze",
                 "--csv", out / f"{name}.csv",

@@ -137,13 +137,12 @@ def check_star_preservation(traj: Trajectory) -> CheckReport:
     positive means safely inside the initial class.  Raises
     :class:`PreconditionNotStarError` when the initial state is not a star.
     """
-    states = traj.states
-    first_cls = geometry.classify_star(states[0])
-    if first_cls.tag is StarTag.NOT_STAR:
+    tags = geometry._star_classes(traj.z)[0]
+    if tags[0] is StarTag.NOT_STAR:
         raise PreconditionNotStarError("initial state is not a star")
-    sign = 1.0 if first_cls.tag is StarTag.CCW_STAR else -1.0
-    tags = (geometry.classify_star(s).tag for s in states)
-    first = next((float(t) for t, tag in zip(traj.times, tags) if tag is not first_cls.tag), None)
+    sign = 1.0 if tags[0] is StarTag.CCW_STAR else -1.0
+    bad = np.flatnonzero(tags != tags[0])
+    first = float(traj.times[bad[0]]) if bad.size else None
     worst = float((sign * geometry._star_values(traj.z)).min())
     return _report("star_preservation", first, worst, len(traj))
 
@@ -156,15 +155,14 @@ def check_convexity_preservation(traj: Trajectory) -> CheckReport:
     the minimum orientation-corrected H value.  Raises
     :class:`PreconditionNotConvexError` when the initial state is not convex.
     """
-    states = traj.states
-    first_tag = geometry.classify_convexity(states[0]).tag
-    if first_tag is ConvexityTag.NOT_CONVEX:
+    tags, _, h = geometry._convexity_classes(traj.z)
+    if tags[0] is ConvexityTag.NOT_CONVEX:
         raise PreconditionNotConvexError("initial state is not convex")
     # times strictly increase from 0, so only row 0 is the initial state
-    classes = [geometry.classify_convexity(s) for s in states[1:]]
-    bad = (float(t) for t, c in zip(traj.times[1:], classes) if c.tag is not ConvexityTag.STRICTLY_CONVEX)
-    worst = min((float(c.h_values.min()) for c in classes), default=math.inf)
-    return _report("convexity_preservation", next(bad, None), worst, len(classes))
+    bad = np.flatnonzero(tags[1:] != ConvexityTag.STRICTLY_CONVEX)
+    first = float(traj.times[bad[0] + 1]) if bad.size else None
+    worst = float(h[1:].min()) if len(traj) > 1 else math.inf
+    return _report("convexity_preservation", first, worst, len(traj) - 1)
 
 
 def check_area_monotone(traj: Trajectory) -> CheckReport:
@@ -173,11 +171,9 @@ def check_area_monotone(traj: Trajectory) -> CheckReport:
     Only meaningful for simple polygons: raises :class:`NotSimpleError` if any
     sample fails :func:`polyshort.geometry.is_simple`.
     """
-    for s in traj.states:
-        if not geometry.is_simple(s):
-            raise NotSimpleError("trajectory contains a non-simple sample")
-    mag = np.abs(traj.signed_area)
-    return _monotone_report("area_monotone", traj.times, mag)
+    if not geometry._simple(traj.z).all():
+        raise NotSimpleError("trajectory contains a non-simple sample")
+    return _monotone_report("area_monotone", traj.times, np.abs(traj.signed_area))
 
 
 def ellipse_convergence_series(traj: Trajectory) -> list:
@@ -255,14 +251,16 @@ def report_lines(reports) -> list:
     return lines
 
 
-def report_json(reports, **meta) -> str:
+def report_json(reports, not_applicable=None, **meta) -> str:
     """Deterministic JSON document for a list of reports.
 
     Keyword arguments become top-level metadata (seed, ensemble size, ...).
     An infinite worst margin (nothing was compared) is written as ``null``.
+    ``not_applicable``, when given, lists the ``(check, reason)`` pairs of
+    requested checks that did not apply; any one makes ``"passed"`` false.
     """
     doc = dict(meta)
-    doc["passed"] = all(r.passed for r in reports)
+    doc["passed"] = all(r.passed for r in reports) and not not_applicable
     doc["checks"] = [
         {
             "check_name": r.check_name,
@@ -273,4 +271,6 @@ def report_json(reports, **meta) -> str:
         }
         for r in reports
     ]
+    if not_applicable is not None:
+        doc["not_applicable"] = [{"check": name, "reason": reason} for name, reason in not_applicable]
     return json.dumps(doc, indent=2, sort_keys=False, allow_nan=False) + "\n"

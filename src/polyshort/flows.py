@@ -33,9 +33,6 @@ __all__ = [
     "FlowDegeneracyError",
     "DegenerateTripleError",
     "CoincidentVerticesError",
-    "linear_velocity",
-    "menger_melnikov_velocity",
-    "bisector_velocity",
     "velocity",
 ]
 
@@ -171,31 +168,11 @@ def _field_function(spec: FlowSpec):
     return lambda z: _bisector_field(z, spec)
 
 
-def linear_velocity(poly: Polygon) -> VelocityField:
-    """Velocity of the linear midpoint-chasing flow.  Defined for every polygon."""
-    return VelocityField(_linear_field(poly.z))
-
-
-def menger_melnikov_velocity(poly: Polygon) -> VelocityField:
-    """Curvature velocity toward each vertex's neighbor circumcenter.
-
-    Raises :class:`DegenerateTripleError` when two points of some consecutive
-    triple coincide exactly.  Collinear (but distinct) triples get velocity 0.
-    """
-    return VelocityField(_menger_melnikov_field(poly.z))
-
-
-def bisector_velocity(poly: Polygon, spec: FlowSpec) -> VelocityField:
-    """Velocity along each internal angle bisector, per ``spec``'s mode.
-
-    Raises :class:`CoincidentVerticesError` when an edge has exactly zero
-    length.  Raises ValueError when ``spec`` is not a bisector flow.
-    """
-    if spec.kind is not FlowKind.BISECTOR:
-        raise ValueError("spec must describe a bisector flow")
-    return VelocityField(_bisector_field(poly.z, spec))
-
-
 def velocity(poly: Polygon, spec: FlowSpec) -> VelocityField:
-    """Velocity field of ``spec``'s flow on ``poly``."""
+    """Velocity field of ``spec``'s flow on ``poly``.
+
+    Raises :class:`DegenerateTripleError` (Menger-Melnikov) when two points of
+    a consecutive triple coincide, :class:`CoincidentVerticesError` (bisector)
+    when an edge has zero length.  The linear field is defined for every polygon.
+    """
     return VelocityField(_field_function(spec)(poly.z))

@@ -140,6 +140,11 @@ def _diameter(z: np.ndarray) -> float:
     return float(d.max())
 
 
+def _diameters(z: np.ndarray) -> np.ndarray:
+    # one n x n matrix at a time: a stacked (S, n, n) one grows too large
+    return np.array([_diameter(row) for row in z])
+
+
 # The private helpers below take one circuit or a stack of them, shape (..., n),
 # along the last axis; the public per-polygon functions call them.
 
@@ -248,6 +253,10 @@ class StarTag(enum.Enum):
     NOT_STAR = "not_star"
 
 
+# the tags of _star_classes, indexed by ccw + 2 * cw
+_STAR_TAGS = np.array([StarTag.NOT_STAR, StarTag.CCW_STAR, StarTag.CW_STAR], dtype=object)
+
+
 @dataclass(frozen=True)
 class StarClass:
     """Result of :func:`classify_star`.
@@ -264,6 +273,22 @@ class StarClass:
     radii: np.ndarray
 
 
+def _star_classes(z: np.ndarray):
+    """Per row of the ``(S, n)`` stack ``z``: its :class:`StarTag`, angles and radii.
+
+    Returns ``(tags, angles, radii)``, an object array and two ``(S, n)``
+    arrays, as :func:`classify_star` reports them for one row.
+    """
+    w = z - z.mean(axis=-1, keepdims=True)
+    r = np.abs(w)
+    alpha = np.arctan2(_star_values(z), _dot(w, _next(w)))
+    total = alpha.sum(axis=-1)
+    radii_ok = (r > PREDICATE_TOL * _diameters(z)[:, None]).all(axis=-1)
+    ccw = radii_ok & (alpha > 0.0).all(axis=-1) & (np.abs(total - _TWO_PI) <= ANGLE_SUM_TOL)
+    cw = radii_ok & (alpha < 0.0).all(axis=-1) & (np.abs(total + _TWO_PI) <= ANGLE_SUM_TOL)
+    return _STAR_TAGS[ccw + 2 * cw], alpha, r
+
+
 def classify_star(poly: Polygon) -> StarClass:
     """Classify the circuit as a counterclockwise/clockwise star about its centroid.
 
@@ -272,25 +297,20 @@ def classify_star(poly: Polygon) -> StarClass:
     and total winding of one full turn.  Any radius at or below
     ``PREDICATE_TOL`` times the diameter forces ``NOT_STAR``.
     """
-    z = poly.z
-    w = z - z.mean()
-    r = np.abs(w)
-    alpha = np.arctan2(_star_values(z), _dot(w, _next(w)))
-    r_tol = PREDICATE_TOL * _diameter(z)
-    tag = StarTag.NOT_STAR
-    if np.all(r > r_tol):
-        total = float(alpha.sum())
-        if np.all(alpha > 0.0) and abs(total - _TWO_PI) <= ANGLE_SUM_TOL:
-            tag = StarTag.CCW_STAR
-        elif np.all(alpha < 0.0) and abs(total + _TWO_PI) <= ANGLE_SUM_TOL:
-            tag = StarTag.CW_STAR
-    return StarClass(tag=tag, angles=alpha, radii=r)
+    tags, alpha, r = _star_classes(poly.z[None])
+    return StarClass(tag=tags[0], angles=alpha[0], radii=r[0])
 
 
 class ConvexityTag(enum.Enum):
     STRICTLY_CONVEX = "strictly_convex"
     CONVEX = "convex"
     NOT_CONVEX = "not_convex"
+
+
+# the tags of _convexity_classes, indexed by convex * (1 + strict)
+_CONVEXITY_TAGS = np.array(
+    [ConvexityTag.NOT_CONVEX, ConvexityTag.CONVEX, ConvexityTag.STRICTLY_CONVEX], dtype=object
+)
 
 
 @dataclass(frozen=True)
@@ -309,6 +329,27 @@ class ConvexityClass:
     h_values: np.ndarray
 
 
+def _convexity_classes(z: np.ndarray):
+    """Per row of the ``(S, n)`` stack ``z``: its :class:`ConvexityTag`, angles and H values.
+
+    Returns ``(tags, internal_angles, h_values)``, an object array and two
+    ``(S, n)`` arrays, as :func:`classify_convexity` reports them for one row.
+    Only rows whose H values allow convexity go to :func:`_simple`, in one call.
+    """
+    u = _prev(z) - z
+    w = _next(z) - z
+    # both orientations from the same crosses: negating one would flip signed zeros
+    cw = (_signed_area(z) < 0.0)[:, None]
+    h = np.where(cw, _cross(u, w), _cross(w, u))
+    beta = np.arctan2(h, _dot(u, w))
+    beta = np.where(beta < 0.0, beta + _TWO_PI, beta)
+    tol = (PREDICATE_TOL * _diameters(z) ** 2)[:, None]
+    strict = (h > tol).all(axis=-1)
+    convex = (h >= -tol).all(axis=-1) & (h > tol).any(axis=-1)
+    convex[convex] = _simple(z[convex])
+    return _CONVEXITY_TAGS[convex * (1 + strict)], beta, h
+
+
 def classify_convexity(poly: Polygon) -> ConvexityClass:
     """Classify convexity of the circuit, independent of numbering direction.
 
@@ -318,68 +359,72 @@ def classify_convexity(poly: Polygon) -> ConvexityClass:
     are straight.  Everything else, including non-simple circuits, is
     ``NOT_CONVEX``.
     """
-    z = poly.z
-    u = _prev(z) - z
-    w = _next(z) - z
-    if signed_area(poly) < 0.0:
-        u, w = w, u
-    h = _cross(w, u)
-    beta = np.arctan2(h, _dot(u, w))
-    beta = np.where(beta < 0.0, beta + _TWO_PI, beta)
-    tol = PREDICATE_TOL * _diameter(z) ** 2
-    # all(h > tol) implies the first two conditions, so is_simple runs at most once
-    if np.all(h >= -tol) and np.any(h > tol) and is_simple(poly):
-        tag = ConvexityTag.STRICTLY_CONVEX if np.all(h > tol) else ConvexityTag.CONVEX
-    else:
-        tag = ConvexityTag.NOT_CONVEX
-    return ConvexityClass(tag=tag, internal_angles=beta, h_values=h)
+    tags, beta, h = _convexity_classes(poly.z[None])
+    return ConvexityClass(tag=tags[0], internal_angles=beta[0], h_values=h[0])
 
 
-def _orient(ax, ay, bx, by, cx, cy, tol):
-    v = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    if v > tol:
-        return 1
-    if v < -tol:
-        return -1
-    return 0
+# _simple tests at most this many side pairs at once, whatever S and n.
+_PAIR_BLOCK = 4096
 
 
-def _on_segment(ax, ay, bx, by, px, py, tol):
-    # assumes p collinear with segment (a, b) within the caller's tolerance
-    return (
-        min(ax, bx) - tol <= px <= max(ax, bx) + tol
-        and min(ay, by) - tol <= py <= max(ay, by) + tol
-    )
+def _l1(u):
+    return np.abs(u.real) + np.abs(u.imag)
 
 
-def _segments_touch(p1, q1, p2, q2) -> bool:
-    ax, ay = p1.real, p1.imag
-    bx, by = q1.real, q1.imag
-    cx, cy = p2.real, p2.imag
-    dx, dy = q2.real, q2.imag
-    scale = max(
-        abs(bx - ax) + abs(by - ay),
-        abs(dx - cx) + abs(dy - cy),
-        abs(cx - ax) + abs(cy - ay),
-        abs(dx - ax) + abs(dy - ay),
-    )
-    tol_cross = PREDICATE_TOL * scale * scale
+def _sides_meet(a, b, c, d):
+    """Elementwise: does side ``(a, b)`` meet side ``(c, d)``?
+
+    Orientation values within ``PREDICATE_TOL`` times the squared L1 scale of
+    the pair count as collinear; a collinear endpoint meets the other side when
+    it lies in that side's bounding box grown by ``PREDICATE_TOL`` times the scale.
+    """
+    ab, ac, ad = b - a, c - a, d - a
+    cd, ca, cb = d - c, a - c, b - c
+    scale = np.maximum(np.maximum(_l1(ab), _l1(cd)), np.maximum(_l1(ac), _l1(ad)))
     tol_len = PREDICATE_TOL * scale
-    o1 = _orient(ax, ay, bx, by, cx, cy, tol_cross)
-    o2 = _orient(ax, ay, bx, by, dx, dy, tol_cross)
-    o3 = _orient(cx, cy, dx, dy, ax, ay, tol_cross)
-    o4 = _orient(cx, cy, dx, dy, bx, by, tol_cross)
-    if o1 != o2 and o3 != o4:
-        return True
-    if o1 == 0 and _on_segment(ax, ay, bx, by, cx, cy, tol_len):
-        return True
-    if o2 == 0 and _on_segment(ax, ay, bx, by, dx, dy, tol_len):
-        return True
-    if o3 == 0 and _on_segment(cx, cy, dx, dy, ax, ay, tol_len):
-        return True
-    if o4 == 0 and _on_segment(cx, cy, dx, dy, bx, by, tol_len):
-        return True
-    return False
+    tol_cross = tol_len * scale
+    # orientation of an endpoint against the other side: +1, -1, or 0 within tol_cross
+    o1, o2, o3, o4 = (
+        (v > tol_cross).astype(np.int8) - (v < -tol_cross)
+        for v in (_cross(ab, ac), _cross(ab, ad), _cross(cd, ca), _cross(cd, cb))
+    )
+    meet = (o1 != o2) & (o3 != o4)
+    for o, p, q, r in ((o1, a, b, c), (o2, a, b, d), (o3, c, d, a), (o4, c, d, b)):
+        collinear = o == 0
+        if collinear.any():
+            # r lies on side (p, q) when it is in the side's box grown by tol_len
+            for lo, hi, x in ((p.real, q.real, r.real), (p.imag, q.imag, r.imag)):
+                collinear &= (np.minimum(lo, hi) - tol_len <= x) & (x <= np.maximum(lo, hi) + tol_len)
+            meet |= collinear
+    return meet
+
+
+def _simple(z: np.ndarray) -> np.ndarray:
+    """Per row of the ``(S, n)`` stack ``z``: is that circuit simple (see :func:`is_simple`)?"""
+    zn = _next(z)
+    u = _prev(z) - z
+    w = zn - z
+    scale = np.maximum(_l1(u), _l1(w))
+    # a side doubling back over its neighbor: both sides leave a vertex one way
+    folds = (np.abs(_cross(u, w)) <= PREDICATE_TOL * scale * scale) & (_dot(u, w) > 0.0)
+    simple = ~folds.any(axis=-1)
+    # side k runs from vertex k to k+1; test the pairs i < j that share no vertex
+    n = z.shape[-1]
+    k = np.arange(n)
+    apart = np.less_equal.outer(k + 2, k)
+    apart[0, n - 1] = False
+    i, j = np.nonzero(apart)
+    # a block holds whole rows when a row has few pairs, else part of one row
+    rows = max(1, _PAIR_BLOCK // max(i.size, 1))
+    for r0 in range(0, len(z), rows):
+        for p0 in range(0, i.size, _PAIR_BLOCK):
+            live = r0 + np.flatnonzero(simple[r0 : r0 + rows])
+            if not live.size:
+                break
+            ii, jj = i[p0 : p0 + _PAIR_BLOCK], j[p0 : p0 + _PAIR_BLOCK]
+            za, zb = z[live], zn[live]
+            simple[live] = ~_sides_meet(za[:, ii], zb[:, ii], za[:, jj], zb[:, jj]).any(axis=-1)
+    return simple
 
 
 def is_simple(poly: Polygon) -> bool:
@@ -390,24 +435,7 @@ def is_simple(poly: Polygon) -> bool:
     Adjacent sides must meet only at their shared vertex, so a side doubling
     back over its neighbor makes the circuit non-simple.
     """
-    z = poly.z
-    u = _prev(z) - z
-    w = _next(z) - z
-    scale = np.maximum(np.abs(u.real) + np.abs(u.imag), np.abs(w.real) + np.abs(w.imag))
-    # a side doubling back over its neighbor: both sides leave a vertex one way
-    if np.any((np.abs(_cross(u, w)) <= PREDICATE_TOL * scale * scale) & (_dot(u, w) > 0.0)):
-        return False
-    pts = z.tolist()
-    n = len(pts)
-    for i in range(n):
-        p1 = pts[i]
-        q1 = pts[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i + 1 or (i == 0 and j == n - 1):
-                continue
-            if _segments_touch(p1, q1, pts[j], pts[(j + 1) % n]):
-                return False
-    return True
+    return bool(_simple(poly.z[None])[0])
 
 
 @dataclass(frozen=True)

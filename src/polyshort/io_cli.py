@@ -33,7 +33,7 @@ from .analysis import (
     report_json,
     report_lines,
 )
-from .flows import BisectorSpeedMode, FlowKind, FlowSpec, bisector_velocity
+from .flows import BisectorSpeedMode, FlowKind, FlowSpec, velocity
 from .geometry import ConvexityTag, Polygon, StarTag
 from .simulate import SimConfig, Termination, Trajectory, run
 from .spectral import closed_form_state, decompose, leading_decay_rate
@@ -633,7 +633,7 @@ def _cmd_analyze(args) -> int:
     for name, msg in not_applicable:
         print(f"NOT_APPLICABLE  {name}: {msg}")
     if args.out_json:
-        Path(args.out_json).write_text(report_json(reports), encoding="utf-8")
+        Path(args.out_json).write_text(report_json(reports, not_applicable), encoding="utf-8")
     return 0 if not not_applicable and all(r.passed for r in reports) else 1
 
 
@@ -679,7 +679,7 @@ def _validate_suite(ensemble_size: int, seed: int) -> list:
     # bisector direction is perimeter-optimal among magnitude-matched fields
     for i in range(ensemble_size):
         poly = generate(GeneratorSpec(GeneratorKind.RANDOM_STAR, n=5 + (i % 6)), sub_seed())
-        u = bisector_velocity(poly, FlowSpec.bisector())
+        u = velocity(poly, FlowSpec.bisector())
         rate_u = perimeter_rate(poly, u)
         margin = math.inf
         for _ in range(10):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import geometry
 from .flows import FlowDegeneracyError, FlowKind, FlowSpec, _field_function
-from .geometry import Polygon
+from .geometry import ConvexityTag, Polygon
 
 __all__ = [
     "SimConfig",
@@ -72,7 +72,8 @@ class SimConfig:
             raise ValueError("min_edge_capture must be nonnegative and finite")
 
 
-@dataclass(frozen=True)
+# eq=False keeps the bit-for-bit __eq__ below and leaves the class unhashable
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Recorded samples of one run: times, states and the stopping reason.
 
@@ -230,10 +231,9 @@ def detect_first(traj: Trajectory, predicate: TrajectoryPredicate):
         raise ValueError("need a trajectory with at least 2 samples")
     if predicate is TrajectoryPredicate.AREA_INCREASING:
         mag = np.abs(traj.signed_area)
-        inc = np.nonzero(mag[1:] > mag[:-1])[0]
-        return float(traj.times[inc[0]]) if inc.size else None
-    if predicate is TrajectoryPredicate.BECOMES_STRICTLY_CONVEX:
-        hits = (geometry.classify_convexity(s).tag is geometry.ConvexityTag.STRICTLY_CONVEX for s in traj.states)
+        hits = np.flatnonzero(mag[1:] > mag[:-1])
+    elif predicate is TrajectoryPredicate.BECOMES_STRICTLY_CONVEX:
+        hits = np.flatnonzero(geometry._convexity_classes(traj.z)[0] == ConvexityTag.STRICTLY_CONVEX)
     else:
-        hits = (not geometry.is_simple(s) for s in traj.states)
-    return next((float(t) for t, hit in zip(traj.times, hits) if hit), None)
+        hits = np.flatnonzero(~geometry._simple(traj.z))
+    return float(traj.times[hits[0]]) if hits.size else None

@@ -18,7 +18,7 @@ from polyshort.analysis import (
     ellipse_convergence_series,
     perimeter_rate,
 )
-from polyshort.flows import FlowSpec, bisector_velocity
+from polyshort.flows import FlowSpec, velocity
 from polyshort.geometry import (
     ConvexityTag,
     Polygon,
@@ -281,7 +281,7 @@ def test_criterion_7_bisector_optimality():
         else:
             spec = GeneratorSpec(GeneratorKind.RANDOM_CONVEX, n=5 + i % 6)
         poly = generate(spec, 7000 + i)
-        u = bisector_velocity(poly, FlowSpec.bisector()).velocities
+        u = velocity(poly, FlowSpec.bisector()).velocities
         rate_u = perimeter_rate(poly, u)
         for _ in range(20):
             v = np.abs(u) * np.exp(2j * np.pi * rng.random(poly.n))

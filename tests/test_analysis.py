@@ -26,8 +26,6 @@ from polyshort.flows import (
     BisectorSpeedMode,
     CoincidentVerticesError,
     FlowSpec,
-    bisector_velocity,
-    linear_velocity,
     velocity,
 )
 from polyshort.geometry import Polygon, perimeter
@@ -58,7 +56,7 @@ def make_traj(states, termination=Termination.T_END):
 class TestPerimeterRate:
     def test_diamond_linear_rate(self):
         # each |d_i| is sqrt(2) and v_i = -z_i, so the rate is -4 sqrt(2)
-        rate = perimeter_rate(DIAMOND, linear_velocity(DIAMOND))
+        rate = perimeter_rate(DIAMOND, velocity(DIAMOND, FlowSpec.linear()))
         assert rate == pytest.approx(-4.0 * np.sqrt(2.0), rel=1e-12)
 
     def test_zero_field_zero_rate(self):
@@ -80,13 +78,13 @@ class TestPerimeterRate:
         from polyshort.flows import _bisector_direction
 
         d = _bisector_direction(p.z)
-        rate = perimeter_rate(p, bisector_velocity(p, FlowSpec.bisector()))
+        rate = perimeter_rate(p, velocity(p, FlowSpec.bisector()))
         assert rate == pytest.approx(-float(np.sum(np.abs(d))), rel=1e-12)
 
     def test_bisector_beats_phase_scrambled_fields(self):
         rng = np.random.default_rng(37)
         p = Polygon(rng.uniform(-2, 2, 8) + 1j * rng.uniform(-2, 2, 8))
-        best = bisector_velocity(p, FlowSpec.bisector()).velocities
+        best = velocity(p, FlowSpec.bisector()).velocities
         rate_best = perimeter_rate(p, best)
         for _ in range(20):
             other = np.abs(best) * np.exp(2j * np.pi * rng.random(8))

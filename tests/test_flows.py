@@ -11,9 +11,6 @@ from polyshort.flows import (
     FlowKind,
     FlowSpec,
     VelocityField,
-    bisector_velocity,
-    linear_velocity,
-    menger_melnikov_velocity,
     velocity,
 )
 from polyshort.geometry import Polygon, circumcircle
@@ -83,12 +80,12 @@ class TestVelocityField:
             VelocityField(np.zeros((2, 2), dtype=complex))
 
     def test_len(self):
-        assert len(linear_velocity(UNIT_SQUARE)) == 4
+        assert len(velocity(UNIT_SQUARE, FlowSpec.linear())) == 4
 
 
 class TestLinearVelocity:
     def test_unit_square_corner(self):
-        v = linear_velocity(UNIT_SQUARE).velocities
+        v = velocity(UNIT_SQUARE, FlowSpec.linear()).velocities
         assert v[0] == pytest.approx(0.5 + 0.5j)
         assert v[2] == pytest.approx(-0.5 - 0.5j)
 
@@ -97,53 +94,53 @@ class TestLinearVelocity:
         for n in (3, 4, 6, 12):
             p = regular_ngon(n)
             lam = eigenvalues(n)[1]
-            v = linear_velocity(p).velocities
+            v = velocity(p, FlowSpec.linear()).velocities
             assert np.max(np.abs(v - lam * p.z)) < 1e-12
 
     def test_collinear_stays_real(self):
         p = Polygon([0, 1.3, 2.9, 4.0, 0.7])
-        v = linear_velocity(p).velocities
+        v = velocity(p, FlowSpec.linear()).velocities
         assert np.max(np.abs(v.imag)) == 0.0
 
     def test_velocities_sum_to_zero(self):
         rng = np.random.default_rng(17)
         for n in (3, 5, 9, 20):
             p = random_polygon(rng, n)
-            v = linear_velocity(p).velocities
+            v = velocity(p, FlowSpec.linear()).velocities
             assert abs(np.sum(v)) <= 1e-12 * n * p.diameter()
 
     def test_linearity(self):
         rng = np.random.default_rng(23)
         p = random_polygon(rng, 7)
-        v = linear_velocity(p).velocities
+        v = velocity(p, FlowSpec.linear()).velocities
         a = 2.0 - 1.5j
-        scaled = linear_velocity(Polygon(a * p.z)).velocities
+        scaled = velocity(Polygon(a * p.z), FlowSpec.linear()).velocities
         assert np.max(np.abs(scaled - a * v)) <= 1e-12 * np.max(np.abs(v)) * abs(a)
-        shifted = linear_velocity(Polygon(p.z + (4.0 + 3.0j))).velocities
+        shifted = velocity(Polygon(p.z + (4.0 + 3.0j)), FlowSpec.linear()).velocities
         assert np.max(np.abs(shifted - v)) <= 1e-12
 
 
 class TestMengerMelnikovVelocity:
     def test_diamond_contracts_radially(self):
         # every neighbor triple lies on the unit circle, so v = -z exactly
-        v = menger_melnikov_velocity(DIAMOND).velocities
+        v = velocity(DIAMOND, FlowSpec.menger_melnikov()).velocities
         assert np.max(np.abs(v + DIAMOND.z)) < 1e-14
 
     def test_equilateral_magnitude_is_curvature(self):
         for r in (0.5, 1.0, 3.0):
             p = regular_ngon(3, radius=r)
-            v = menger_melnikov_velocity(p).velocities
+            v = velocity(p, FlowSpec.menger_melnikov()).velocities
             assert np.abs(v) == pytest.approx(np.full(3, 1.0 / r), rel=1e-12)
 
     def test_straight_vertex_has_zero_velocity(self):
-        v = menger_melnikov_velocity(FLAT_PENTAGON).velocities
+        v = velocity(FLAT_PENTAGON, FlowSpec.menger_melnikov()).velocities
         assert v[1] == 0j
         assert v[0] != 0j
 
     def test_matches_circumcircle_per_vertex(self):
         rng = np.random.default_rng(31)
         p = random_polygon(rng, 8)
-        v = menger_melnikov_velocity(p).velocities
+        v = velocity(p, FlowSpec.menger_melnikov()).velocities
         z = p.z
         for i in range(8):
             circ = circumcircle(z[i - 1], z[i], z[(i + 1) % 8])
@@ -163,59 +160,36 @@ class TestMengerMelnikovVelocity:
 
 class TestBisectorVelocity:
     def test_unit_square_corner_unit_mode(self):
-        v = bisector_velocity(UNIT_SQUARE, FlowSpec.bisector()).velocities
+        v = velocity(UNIT_SQUARE, FlowSpec.bisector()).velocities
         s = np.sqrt(2.0) / 2.0
         assert v[0] == pytest.approx(s + s * 1j)
         assert np.abs(v) == pytest.approx(np.ones(4))
 
     def test_unit_speed_scales(self):
-        base = bisector_velocity(UNIT_SQUARE, FlowSpec.bisector(speed=1.0)).velocities
-        fast = bisector_velocity(UNIT_SQUARE, FlowSpec.bisector(speed=2.5)).velocities
+        base = velocity(UNIT_SQUARE, FlowSpec.bisector(speed=1.0)).velocities
+        fast = velocity(UNIT_SQUARE, FlowSpec.bisector(speed=2.5)).velocities
         assert np.max(np.abs(fast - 2.5 * base)) < 1e-15
 
     def test_straight_vertex_is_stationary(self):
         spec = FlowSpec.bisector()
-        v = bisector_velocity(FLAT_PENTAGON, spec).velocities
+        v = velocity(FLAT_PENTAGON, spec).velocities
         assert v[1] == 0j
 
     def test_hexagon_norm_matched_contracts_radially(self):
         # unit edge vectors at each vertex sum to exactly -z, so v = -z/2
         p = regular_ngon(6)
         spec = FlowSpec.bisector(speed_mode=BisectorSpeedMode.NORM_MATCHED)
-        v = bisector_velocity(p, spec).velocities
+        v = velocity(p, spec).velocities
         assert np.max(np.abs(v + 0.5 * p.z)) < 1e-14
 
     def test_norm_matched_is_half_direction_sum(self):
         rng = np.random.default_rng(41)
         p = random_polygon(rng, 9)
         spec = FlowSpec.bisector(speed_mode=BisectorSpeedMode.NORM_MATCHED)
-        v = bisector_velocity(p, spec).velocities
+        v = velocity(p, spec).velocities
         d = flows._bisector_direction(p.z)
         assert np.array_equal(v, 0.5 * d)
-
-    def test_rejects_non_bisector_spec(self):
-        with pytest.raises(ValueError):
-            bisector_velocity(UNIT_SQUARE, FlowSpec.linear())
 
     def test_zero_edge_raises(self):
         with pytest.raises(CoincidentVerticesError):
             flows._bisector_direction(np.array([0j, 0j, 1 + 1j]))
-
-
-class TestVelocityDispatcher:
-    def test_matches_specific_functions(self):
-        rng = np.random.default_rng(47)
-        p = random_polygon(rng, 6)
-        assert np.array_equal(
-            velocity(p, FlowSpec.linear()).velocities,
-            linear_velocity(p).velocities,
-        )
-        assert np.array_equal(
-            velocity(p, FlowSpec.menger_melnikov()).velocities,
-            menger_melnikov_velocity(p).velocities,
-        )
-        spec = FlowSpec.bisector()
-        assert np.array_equal(
-            velocity(p, spec).velocities,
-            bisector_velocity(p, spec).velocities,
-        )

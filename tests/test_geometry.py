@@ -240,11 +240,13 @@ class TestClassifyConvexity:
         # every H value is positive, so only the simplicity test rules it out
         calls = []
 
-        def counting_is_simple(poly):
-            calls.append(poly)
-            return is_simple(poly)
+        simple = geometry._simple
 
-        monkeypatch.setattr(geometry, "is_simple", counting_is_simple)
+        def counting_simple(z):
+            calls.append(z)
+            return simple(z)
+
+        monkeypatch.setattr(geometry, "_simple", counting_simple)
         pentagram = Polygon(np.exp(4j * np.pi * np.arange(5) / 5))
         res = classify_convexity(pentagram)
         assert res.tag is ConvexityTag.NOT_CONVEX

@@ -477,6 +477,7 @@ class TestCli:
         doc = strict(out_json.read_text(encoding="utf-8"))
         assert doc["passed"] is True
         assert doc["checks"][0]["check_name"] == "perimeter_monotone"
+        assert doc["not_applicable"] == []
         # shorter than one leading time constant: the ellipse check does not apply
         sc = write_scenario(
             tmp_path, name="short", polygon={"generator": {"kind": "random_star", "n": 8}},
@@ -486,7 +487,12 @@ class TestCli:
         assert cli_main(["analyze", "--csv", str(tmp_path / "short.csv"), "--checks", "ellipse", "--out-json", str(out_json)]) == 1
         assert "NOT_APPLICABLE  ellipse: no pair of samples past one leading time constant" in capsys.readouterr().out
         doc = strict(out_json.read_text(encoding="utf-8"))
-        assert doc["checks"] == []
+        # the exit code is 1, so the report must not pass
+        assert doc == {
+            "passed": False,
+            "checks": [],
+            "not_applicable": [{"check": "ellipse", "reason": "no pair of samples past one leading time constant"}],
+        }
 
     def test_reproduce_fig8_area_check_fails(self, tmp_path, capsys):
         assert cli_main(["reproduce", "fig8", "--out-dir", str(tmp_path)]) == 0

@@ -1,4 +1,4 @@
-"""Turning values, angles, fields and the circumcircle against their original formulas.
+"""Turning values, angles, fields, the circumcircle and the classes against their original formulas.
 
 Each quantity below once had its own hand-written copy of Im{conj(u) * w},
 Re{conj(u) * w}, the edge lengths or the bisector direction.  The copies are
@@ -7,7 +7,10 @@ package must reproduce them bit for bit, signed zeros included.  The same
 holds for the per-sample trajectory columns, which are computed row-wise on
 the whole ``(S, n)`` stack of samples at once, and for the flows, whose
 cyclic neighbours were once taken with ``np.roll`` and whose Menger-Melnikov
-field once called the scalar circumcircle in a per-vertex loop.
+field once called the scalar circumcircle in a per-vertex loop.  The side-pair
+test of ``is_simple`` was once a scalar loop over the pairs; that loop, and
+the one-polygon star and convexity classifiers built on it, are kept here as
+the oracle for the stacked classification.
 """
 
 import tempfile
@@ -33,9 +36,21 @@ from polyshort.flows import (  # noqa: E402
     _menger_melnikov_field,
 )
 from polyshort.geometry import (  # noqa: E402
+    _PAIR_BLOCK,
+    ANGLE_SUM_TOL,
     PREDICATE_TOL,
+    ConvexityTag,
     Polygon,
-    _segments_touch,
+    StarTag,
+    _convexity_classes,
+    _cross,
+    _diameter,
+    _dot,
+    _next,
+    _prev,
+    _simple,
+    _star_classes,
+    _star_values,
     circumcircle,
     classify_convexity,
     classify_star,
@@ -64,6 +79,20 @@ CIRCUIT = st.lists(POINT, min_size=3, max_size=9).map(lambda pts: Polygon._wrap(
 STACK = st.tuples(
     st.integers(1, 4), st.sampled_from([3, 4, 7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257])
 ).flatmap(lambda shape: arrays(np.complex128, shape, elements=POINT))
+
+
+def sort_by_angle(z):
+    order = np.argsort(np.angle(z - z.mean(axis=1, keepdims=True)), axis=1, kind="stable")
+    return np.take_along_axis(z, order, axis=1)
+
+
+# small-integer circuits, where collinear, touching and doubled-back sides are
+# common; sorting a row by angle about its centroid often makes it simple
+GRID_STACK = st.tuples(st.integers(1, 4), st.integers(3, 9), st.booleans()).flatmap(
+    lambda shape: arrays(
+        np.complex128, shape[:2], elements=st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
+    ).map(lambda z: sort_by_angle(z) if shape[2] else z)
+)
 
 
 def same_bits(a, b) -> bool:
@@ -193,6 +222,53 @@ def ref_menger_melnikov_field(z):
     return v
 
 
+def _orient(ax, ay, bx, by, cx, cy, tol):
+    v = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    if v > tol:
+        return 1
+    if v < -tol:
+        return -1
+    return 0
+
+
+def _on_segment(ax, ay, bx, by, px, py, tol):
+    # assumes p collinear with segment (a, b) within the caller's tolerance
+    return (
+        min(ax, bx) - tol <= px <= max(ax, bx) + tol
+        and min(ay, by) - tol <= py <= max(ay, by) + tol
+    )
+
+
+def _segments_touch(p1, q1, p2, q2) -> bool:
+    ax, ay = p1.real, p1.imag
+    bx, by = q1.real, q1.imag
+    cx, cy = p2.real, p2.imag
+    dx, dy = q2.real, q2.imag
+    scale = max(
+        abs(bx - ax) + abs(by - ay),
+        abs(dx - cx) + abs(dy - cy),
+        abs(cx - ax) + abs(cy - ay),
+        abs(dx - ax) + abs(dy - ay),
+    )
+    tol_cross = PREDICATE_TOL * scale * scale
+    tol_len = PREDICATE_TOL * scale
+    o1 = _orient(ax, ay, bx, by, cx, cy, tol_cross)
+    o2 = _orient(ax, ay, bx, by, dx, dy, tol_cross)
+    o3 = _orient(cx, cy, dx, dy, ax, ay, tol_cross)
+    o4 = _orient(cx, cy, dx, dy, bx, by, tol_cross)
+    if o1 != o2 and o3 != o4:
+        return True
+    if o1 == 0 and _on_segment(ax, ay, bx, by, cx, cy, tol_len):
+        return True
+    if o2 == 0 and _on_segment(ax, ay, bx, by, dx, dy, tol_len):
+        return True
+    if o3 == 0 and _on_segment(cx, cy, dx, dy, ax, ay, tol_len):
+        return True
+    if o4 == 0 and _on_segment(cx, cy, dx, dy, bx, by, tol_len):
+        return True
+    return False
+
+
 def ref_is_simple(z):
     pts = z.tolist()
     n = len(pts)
@@ -218,6 +294,39 @@ def ref_is_simple(z):
             if _segments_touch(p1, q1, pts[j], pts[(j + 1) % n]):
                 return False
     return True
+
+
+def ref_classify_star(z):
+    # (tag, angles, radii), as classify_star computed them for one polygon
+    w = z - z.mean()
+    r = np.abs(w)
+    alpha = np.arctan2(_star_values(z), _dot(w, _next(w)))
+    r_tol = PREDICATE_TOL * _diameter(z)
+    tag = StarTag.NOT_STAR
+    if np.all(r > r_tol):
+        total = float(alpha.sum())
+        if np.all(alpha > 0.0) and abs(total - _TWO_PI) <= ANGLE_SUM_TOL:
+            tag = StarTag.CCW_STAR
+        elif np.all(alpha < 0.0) and abs(total + _TWO_PI) <= ANGLE_SUM_TOL:
+            tag = StarTag.CW_STAR
+    return tag, alpha, r
+
+
+def ref_classify_convexity(z):
+    # (tag, internal_angles, h_values), as classify_convexity computed them
+    u = _prev(z) - z
+    w = _next(z) - z
+    if ref_signed_area(z) < 0.0:
+        u, w = w, u
+    h = _cross(w, u)
+    beta = np.arctan2(h, _dot(u, w))
+    beta = np.where(beta < 0.0, beta + _TWO_PI, beta)
+    tol = PREDICATE_TOL * _diameter(z) ** 2
+    if np.all(h >= -tol) and np.any(h > tol) and ref_is_simple(z):
+        tag = ConvexityTag.STRICTLY_CONVEX if np.all(h > tol) else ConvexityTag.CONVEX
+    else:
+        tag = ConvexityTag.NOT_CONVEX
+    return tag, beta, h
 
 
 def outcome(fn, z):
@@ -328,3 +437,53 @@ def test_menger_melnikov_field(stack):
 @given(CIRCUIT)
 def test_is_simple(poly):
     assert is_simple(poly) is ref_is_simple(poly.z)
+
+
+@given(CIRCUIT)
+def test_one_polygon_classes(poly):
+    star = classify_star(poly)
+    tag, alpha, r = ref_classify_star(poly.z)
+    assert star.tag is tag and same_bits(star.angles, alpha) and same_bits(star.radii, r)
+    cvx = classify_convexity(poly)
+    tag, beta, h = ref_classify_convexity(poly.z)
+    assert cvx.tag is tag and same_bits(cvx.internal_angles, beta) and same_bits(cvx.h_values, h)
+
+
+# the stacked classes must give every row of a stack the one-polygon verdict
+
+
+@given(st.one_of(STACK, GRID_STACK))
+def test_stacked_simple(z):
+    assert [bool(v) for v in _simple(z)] == [ref_is_simple(row) for row in z]
+
+
+@given(STACK)
+def test_stacked_star_classes(z):
+    tags, alpha, r = _star_classes(z)
+    assert tags.shape == z.shape[:1] and alpha.shape == r.shape == z.shape
+    for row, tag, a, rr in zip(z, tags, alpha, r):
+        ref_tag, ref_alpha, ref_r = ref_classify_star(row)
+        assert tag is ref_tag and same_bits(a, ref_alpha) and same_bits(rr, ref_r)
+
+
+@given(st.one_of(STACK, GRID_STACK))
+def test_stacked_convexity_classes(z):
+    tags, beta, h = _convexity_classes(z)
+    assert tags.shape == z.shape[:1] and beta.shape == h.shape == z.shape
+    for row, tag, b, hh in zip(z, tags, beta, h):
+        ref_tag, ref_beta, ref_h = ref_classify_convexity(row)
+        assert tag is ref_tag and same_bits(b, ref_beta) and same_bits(hh, ref_h)
+
+
+def test_simple_spans_pair_blocks():
+    # more side pairs than one block holds: per row at n = 200, and per stack
+    # of 8-gons; swapping two neighbours of a regular polygon crosses the
+    # sides around them, in the first, a middle or the last block of pairs
+    for n, swaps in ((200, [None, 3, 100, 196, None]), (8, [None, 0, 5, 7] * 300)):
+        z = np.tile(np.exp(2j * np.pi * np.arange(n) / n), (len(swaps), 1))
+        for row, k in zip(z, swaps):
+            if k is not None:
+                row[[k, (k + 1) % n]] = row[[(k + 1) % n, k]]
+        assert z.shape[0] * n * (n - 3) // 2 > 2 * _PAIR_BLOCK
+        got = [bool(v) for v in _simple(z)]
+        assert got == [ref_is_simple(row) for row in z] == [k is None for k in swaps]

@@ -83,6 +83,12 @@ class TestTrajectory:
         assert a != Trajectory(a.times, signed, a.termination)
         assert a != a.z
 
+    def test_unhashable(self):
+        # as a Polygon is: equality compares arrays, which have no hash
+        traj = Trajectory([0.0], UNIT_SQUARE.z[None, :], Termination.T_END)
+        with pytest.raises(TypeError, match="unhashable type: 'Trajectory'"):
+            hash(traj)
+
 
 class TestStepRk4:
     def test_eigenvector_gets_degree_four_taylor(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from polyshort.flows import FlowSpec, linear_velocity
+from polyshort.flows import FlowSpec, velocity
 from polyshort.geometry import Polygon, centroid
 from polyshort.simulate import SimConfig, run
 from polyshort.spectral import (
@@ -134,7 +134,7 @@ class TestClosedFormState:
         f1 = closed_form_state(d, h).z
         f2 = closed_form_state(d, 2 * h).z
         fd = (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
-        v = linear_velocity(p).velocities
+        v = velocity(p, FlowSpec.linear()).velocities
         assert np.max(np.abs(fd - v)) < 1e-8
 
     def test_rk4_tracks_closed_form(self):
