@@ -137,13 +137,13 @@ def check_star_preservation(traj: Trajectory) -> CheckReport:
     positive means safely inside the initial class.  Raises
     :class:`PreconditionNotStarError` when the initial state is not a star.
     """
-    tags = geometry._star_classes(traj.z)[0]
+    tags, _, _, f = geometry._star_classes(traj.z)
     if tags[0] is StarTag.NOT_STAR:
         raise PreconditionNotStarError("initial state is not a star")
     sign = 1.0 if tags[0] is StarTag.CCW_STAR else -1.0
     bad = np.flatnonzero(tags != tags[0])
     first = float(traj.times[bad[0]]) if bad.size else None
-    worst = float((sign * geometry._star_values(traj.z)).min())
+    worst = float((sign * f).min())
     return _report("star_preservation", first, worst, len(traj))
 
 
@@ -184,9 +184,8 @@ def ellipse_convergence_series(traj: Trajectory) -> list:
     pairs.  Raises :class:`DegenerateLeadingModeError` when the initial state
     has no leading-mode content.
     """
-    states = traj.states
-    ellipse = spectral.limit_ellipse(spectral.decompose(states[0]))
-    return [(float(t), spectral.ellipse_residual(s, ellipse)) for t, s in zip(traj.times, states)]
+    ellipse = spectral.limit_ellipse(spectral.decompose(Polygon._wrap(traj.z[0])))
+    return list(zip(traj.times.tolist(), spectral._ellipse_residuals(traj.z, ellipse).tolist()))
 
 
 def check_ellipse_convergence(traj: Trajectory) -> CheckReport:

@@ -110,11 +110,6 @@ class Polygon:
     def n(self) -> int:
         return self.z.size
 
-    @property
-    def xy(self) -> np.ndarray:
-        """Vertices as an (n, 2) float array."""
-        return np.column_stack((self.z.real, self.z.imag))
-
     def edge_lengths(self) -> np.ndarray:
         return _edge_lengths(self.z)
 
@@ -276,17 +271,19 @@ class StarClass:
 def _star_classes(z: np.ndarray):
     """Per row of the ``(S, n)`` stack ``z``: its :class:`StarTag`, angles and radii.
 
-    Returns ``(tags, angles, radii)``, an object array and two ``(S, n)``
-    arrays, as :func:`classify_star` reports them for one row.
+    Returns ``(tags, angles, radii, f)``, an object array and three ``(S, n)``
+    arrays: the first three as :func:`classify_star` reports them for one
+    row, and the F values the angles come from.
     """
     w = z - z.mean(axis=-1, keepdims=True)
     r = np.abs(w)
-    alpha = np.arctan2(_star_values(z), _dot(w, _next(w)))
+    f = _star_values(z)
+    alpha = np.arctan2(f, _dot(w, _next(w)))
     total = alpha.sum(axis=-1)
     radii_ok = (r > PREDICATE_TOL * _diameters(z)[:, None]).all(axis=-1)
     ccw = radii_ok & (alpha > 0.0).all(axis=-1) & (np.abs(total - _TWO_PI) <= ANGLE_SUM_TOL)
     cw = radii_ok & (alpha < 0.0).all(axis=-1) & (np.abs(total + _TWO_PI) <= ANGLE_SUM_TOL)
-    return _STAR_TAGS[ccw + 2 * cw], alpha, r
+    return _STAR_TAGS[ccw + 2 * cw], alpha, r, f
 
 
 def classify_star(poly: Polygon) -> StarClass:
@@ -297,7 +294,7 @@ def classify_star(poly: Polygon) -> StarClass:
     and total winding of one full turn.  Any radius at or below
     ``PREDICATE_TOL`` times the diameter forces ``NOT_STAR``.
     """
-    tags, alpha, r = _star_classes(poly.z[None])
+    tags, alpha, r, _ = _star_classes(poly.z[None])
     return StarClass(tag=tags[0], angles=alpha[0], radii=r[0])
 
 

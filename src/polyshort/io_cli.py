@@ -101,10 +101,19 @@ class GeneratorKind(enum.Enum):
 
 _FIXTURE_KINDS = (GeneratorKind.BOOMERANG, GeneratorKind.EMBEDDED_LOSS)
 
+# Vertex counts from outside the program (generator n, scenario vertex list, CSV
+# header, spectrum --n) lie in [3, MAX_VERTICES]: this bounds the n x n diameter.
+MAX_VERTICES = 1000
+
+
+def _check_n(n, what: str) -> None:
+    if n is None or not 3 <= n <= MAX_VERTICES:
+        raise ValueError(f"{what} must be within [3, {MAX_VERTICES}], not {n}")
+
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """What to generate.  ``n`` applies to the parametric kinds (3..1000);
+    """What to generate.  ``n`` applies to the parametric kinds (3..MAX_VERTICES);
     the two fixture kinds carry their own vertex lists."""
 
     kind: GeneratorKind
@@ -119,8 +128,7 @@ class GeneratorSpec:
             if self.n is not None:
                 raise ValueError(f"{self.kind.value} is a fixed fixture; n does not apply")
         else:
-            if self.n is None or not (3 <= self.n <= 1000):
-                raise ValueError("n must be within [3, 1000]")
+            _check_n(self.n, "n")
 
 
 _MAX_ATTEMPTS = 1000
@@ -299,7 +307,9 @@ def _parse_polygon(doc):
     if not isinstance(doc, dict):
         raise ScenarioError("polygon must be an object")
     if "vertices" in doc:
-        return Polygon(doc["vertices"])
+        poly = Polygon(doc["vertices"])
+        _check_n(poly.n, "the number of vertices")
+        return poly
     if "generator" in doc:
         g = doc["generator"]
         try:
@@ -335,7 +345,7 @@ def scenario_from_dict(doc) -> Scenario:
         sim = _parse_sim(doc["sim"])
     except KeyError as exc:
         raise ScenarioError(f"scenario is missing {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(str(exc)) from None
     outputs = doc.get("outputs", [])
     if not isinstance(outputs, list) or not all(type(o) is str and o in _OUTPUT_KINDS for o in outputs):
@@ -353,7 +363,7 @@ def scenario_from_dict(doc) -> Scenario:
 def load_scenario(path) -> Scenario:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ScenarioError(f"{path}: invalid JSON ({exc})") from None
     return scenario_from_dict(doc)
 
@@ -408,8 +418,9 @@ def read_trajectory_csv(path) -> Trajectory:
         raise ValueError(f"{path}: not a trajectory CSV (too short)")
     header = lines[0].split(",")
     n, odd = divmod(len(header) - 1 - len(_CSV_COLUMNS), 2)
-    if header[0] != "t" or n < 3 or odd or header[2 * n + 1 :] != list(_CSV_COLUMNS):
+    if header[0] != "t" or odd or header[2 * n + 1 :] != list(_CSV_COLUMNS):
         raise ValueError(f"{path}: unexpected CSV header")
+    _check_n(n, f"{path}: the number of vertices")
     prefix, _, reason = lines[-1].partition("=")
     if prefix != "# termination" or reason.strip() not in Termination.__members__:
         raise ValueError(f"{path}: missing or unknown termination line {lines[-1]!r}")
@@ -449,13 +460,7 @@ def _shade(i: int, count: int) -> str:
     return f"#{level:02x}{level:02x}{level:02x}"
 
 
-def render_svg(
-    traj: Trajectory,
-    *,
-    show_trajectories: bool = True,
-    snapshot_times=None,
-    mark_centroid: bool = False,
-) -> str:
+def render_svg(traj: Trajectory, *, snapshot_times=None, mark_centroid: bool = False) -> str:
     """Deterministic SVG picture of a trajectory.
 
     Snapshot states are drawn as solid closed outlines (defaulting to five
@@ -473,10 +478,9 @@ def render_svg(
             {int(np.argmin(np.abs(traj.times - float(t)))) for t in snapshot_times}
         )
     # canvas bounds over everything drawn (y flipped so the picture is upright)
-    allz = traj.z if show_trajectories else traj.z[picks]
     g0 = complex(traj.z[0].mean())
-    x0, x1 = float(allz.real.min()), float(allz.real.max())
-    y0, y1 = -float(allz.imag.max()), -float(allz.imag.min())
+    x0, x1 = float(traj.z.real.min()), float(traj.z.real.max())
+    y0, y1 = -float(traj.z.imag.max()), -float(traj.z.imag.min())
     if mark_centroid:
         x0, x1 = min(x0, g0.real), max(x1, g0.real)
         y0, y1 = min(y0, -g0.imag), max(y1, -g0.imag)
@@ -492,14 +496,13 @@ def render_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{_svg_num(x0)} {_svg_num(y0)}'
         f' {_svg_num(w)} {_svg_num(h)}" width="640" height="{int(round(640 * h / w))}">'
     ]
-    if show_trajectories:
-        out.append('<g id="vertex-paths">')
-        for path in traj.z.T:
-            out.append(
-                f'<polyline fill="none" stroke="#8a8a8a" stroke-width="{_svg_num(0.5 * stroke)}"'
-                f' stroke-dasharray="{dash},{dash}" points="{_svg_points(path)}"/>'
-            )
-        out.append("</g>")
+    out.append('<g id="vertex-paths">')
+    for path in traj.z.T:
+        out.append(
+            f'<polyline fill="none" stroke="#8a8a8a" stroke-width="{_svg_num(0.5 * stroke)}"'
+            f' stroke-dasharray="{dash},{dash}" points="{_svg_points(path)}"/>'
+        )
+    out.append("</g>")
     out.append('<g id="snapshots">')
     for j, i in enumerate(picks):
         d = "M " + _svg_points(traj.z[i], " L ") + " Z"
@@ -533,14 +536,8 @@ def _cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
-    if args.dt is not None or args.t_end is not None:
-        sim = scenario.sim
-        sim = replace(
-            sim,
-            dt=args.dt if args.dt is not None else sim.dt,
-            t_end=args.t_end if args.t_end is not None else sim.t_end,
-        )
-        scenario = replace(scenario, sim=sim)
+    overrides = {key: value for key, value in (("dt", args.dt), ("t_end", args.t_end)) if value is not None}
+    scenario = replace(scenario, sim=replace(scenario.sim, **overrides))
     if args.flow is not None:
         scenario = replace(scenario, flow=_parse_flow({"kind": args.flow}))
     poly = scenario_polygon(scenario)
@@ -576,18 +573,18 @@ def _cmd_simulate(args) -> int:
         f"{scenario.name}: termination={traj.termination.name} samples={len(traj)}"
         f" t_final={traj.times[-1]:.6g}"
     )
-    return 1 if traj.termination is Termination.DEGENERATE else 0
+    return 1 if traj.termination in (Termination.DEGENERATE, Termination.MAX_STEPS) else 0
 
 
 def _cmd_spectrum(args) -> int:
+    _check_n(args.n, "--n")
     lams = spectral.eigenvalues(args.n)
     mags = None
     if args.scenario:
         scenario = load_scenario(args.scenario)
         poly = scenario_polygon(scenario)
         if poly.n != args.n:
-            print(f"scenario polygon has n={poly.n}, not n={args.n}", file=sys.stderr)
-            return 2
+            raise ValueError(f"scenario polygon has n={poly.n}, not n={args.n}")
         mags = np.abs(decompose(poly).modal_coeffs)
     # mode numbering is 1-based, matching the lambda_1 = 0 convention
     print("# mode eigenvalue" + (" coeff_magnitude" if mags is not None else ""))
@@ -613,8 +610,7 @@ def _cmd_analyze(args) -> int:
     wanted = [c.strip() for c in args.checks.split(",") if c.strip()]
     unknown = [c for c in wanted if c not in _ANALYZE_CHECKS]
     if unknown:
-        print(f"unknown checks: {', '.join(unknown)}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown checks: {', '.join(unknown)}")
     reports = []
     not_applicable = []
     for name in wanted:
@@ -724,16 +720,14 @@ def _reproduce_fig7(out_dir: Path) -> None:
     cfg = SimConfig(t_end=3.0 / rate, dt=0.01, record_every=10)
     traj = run(poly, FlowSpec.linear(), cfg)
     snaps = [tau / rate for tau in (0.0, 0.5, 1.0, 2.0, 3.0)]
-    svg = render_svg(traj, show_trajectories=True, snapshot_times=snaps, mark_centroid=True)
+    svg = render_svg(traj, snapshot_times=snaps, mark_centroid=True)
     (out_dir / "fig7.svg").write_text(svg, encoding="utf-8")
 
 
 def _reproduce_fig8(out_dir: Path) -> None:
     poly = generate(GeneratorSpec(GeneratorKind.BOOMERANG), 0)
     traj = run(poly, FlowSpec.linear(), SimConfig(t_end=2.0, dt=1e-3, record_every=10))
-    svg = render_svg(
-        traj, show_trajectories=True, snapshot_times=[0.0, 0.25, 0.5, 1.0, 2.0]
-    )
+    svg = render_svg(traj, snapshot_times=[0.0, 0.25, 0.5, 1.0, 2.0])
     (out_dir / "fig8.svg").write_text(svg, encoding="utf-8")
     write_trajectory_csv(traj, out_dir / "fig8.csv")
     lines = ["t,area"]
@@ -768,20 +762,18 @@ def _reproduce_fig9(out_dir: Path) -> None:
         t_end=40.0, dt=1e-3, record_every=20, min_edge_capture=1e-3 * diam0
     )
     traj_b = run(poly, FlowSpec.bisector(speed_mode=BisectorSpeedMode.NORM_MATCHED), cfg_b)
-    svg_b = render_svg(traj_b, show_trajectories=True, snapshot_times=snaps_b)
+    svg_b = render_svg(traj_b, snapshot_times=snaps_b)
     (out_dir / "fig9_bisector.svg").write_text(svg_b, encoding="utf-8")
     cfg_l = SimConfig(t_end=float(traj_b.times[-1]), dt=1e-3, record_every=20)
     traj_l = run(poly, FlowSpec.linear(), cfg_l)
-    svg_l = render_svg(traj_l, show_trajectories=True, snapshot_times=snaps_b)
+    svg_l = render_svg(traj_l, snapshot_times=snaps_b)
     (out_dir / "fig9_linear.svg").write_text(svg_l, encoding="utf-8")
 
 
 def _reproduce_fig10(out_dir: Path) -> None:
     poly = generate(GeneratorSpec(GeneratorKind.EMBEDDED_LOSS), 0)
     traj = run(poly, FlowSpec.linear(), SimConfig(t_end=1.5, dt=1e-3, record_every=10))
-    svg = render_svg(
-        traj, show_trajectories=True, snapshot_times=[0.0, 0.3, 0.6, 1.0, 1.5]
-    )
+    svg = render_svg(traj, snapshot_times=[0.0, 0.3, 0.6, 1.0, 1.5])
     (out_dir / "fig10.svg").write_text(svg, encoding="utf-8")
 
 

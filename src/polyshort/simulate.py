@@ -2,8 +2,9 @@
 
 ``run`` integrates until the configured end time or until the polygon
 collapses (diameter below threshold), two adjacent vertices capture each
-other (bisector flow only), or the flow's velocity becomes undefined.  The
-stopping reason is part of the returned trajectory, not an error.
+other (bisector flow only), the flow's velocity becomes undefined, or it has
+taken ``MAX_STEPS`` steps.  The stopping reason is part of the returned
+trajectory, not an error.
 """
 
 from __future__ import annotations
@@ -32,12 +33,16 @@ __all__ = [
 # fraction of the shortest edge.
 CURVATURE_STEP_FRACTION = 0.05
 
+# After this many steps a run ends with termination MAX_STEPS: every run ends.
+MAX_STEPS = 10**6
+
 
 class Termination(enum.Enum):
     T_END = "t_end"
     COLLAPSED = "collapsed"
     CAPTURE = "capture"
     DEGENERATE = "degenerate"
+    MAX_STEPS = "max_steps"
 
 
 @dataclass(frozen=True)
@@ -158,9 +163,9 @@ def run(poly: Polygon, flow: FlowSpec, cfg: SimConfig) -> Trajectory:
 
     The initial state and the final state are always recorded.  Stopping
     conditions are evaluated on the current state before each step, in the
-    order: collapse, capture, end of time.  A flow degeneracy, a non-finite
-    step result or a step too small to advance the time ends the run with
-    termination DEGENERATE at the last valid state.
+    order: collapse, capture, end of time, ``MAX_STEPS`` steps taken.  A flow
+    degeneracy, a non-finite step result or a step too small to advance the
+    time ends the run with termination DEGENERATE at the last valid state.
     """
     fld = _field_function(flow)
     adaptive = cfg.adaptive and flow.kind is FlowKind.MENGER_MELNIKOV
@@ -182,6 +187,9 @@ def run(poly: Polygon, flow: FlowSpec, cfg: SimConfig) -> Trajectory:
         remaining = cfg.t_end - t
         if remaining <= cfg.dt * 1e-9:
             termination = Termination.T_END
+            break
+        if steps >= MAX_STEPS:
+            termination = Termination.MAX_STEPS
             break
         last = remaining <= cfg.dt
         dt_eff = remaining if last else cfg.dt

@@ -91,35 +91,38 @@ class SpectralDecomposition:
     def centroid(self) -> complex:
         return complex(self.modal_coeffs[0])
 
-    @property
-    def leading_magnitude(self) -> float:
-        """|c_1| + |c_{n-1}|, the size of the slowest-decaying shape content."""
-        return float(abs(self.modal_coeffs[1]) + abs(self.modal_coeffs[-1]))
+
+def _modes(z: np.ndarray) -> np.ndarray:
+    # c_k = (1/n) sum_i z_i omega**(-i*k) along the last axis of a (..., n) stack
+    return np.fft.fft(z, axis=-1, norm="forward")
+
+
+def _leading_magnitude(c: np.ndarray, what: str) -> np.ndarray:
+    # |c_1| + |c_{n-1}| per row of modal coefficients; DegenerateLeadingModeError(what)
+    # when in any row both vanish relative to the remaining mode energy
+    lead = np.abs(c[..., 1]) + np.abs(c[..., -1])
+    rest = np.sqrt(np.sum(np.abs(c[..., 1:]) ** 2, axis=-1))
+    if np.any((lead <= LEADING_MODE_TOL * rest) | (rest == 0.0)):
+        raise DegenerateLeadingModeError(what)
+    return lead
 
 
 def decompose(poly: Polygon) -> SpectralDecomposition:
-    """Project the vertex vector onto the Fourier modes (direct O(n^2) sums)."""
-    z = poly.z
-    n = z.size
-    k = np.arange(n)
-    w = np.exp(-2j * np.pi * np.outer(k, k) / n)
-    coeffs = w @ z / n
-    return SpectralDecomposition(n=n, eigenvalues=eigenvalues(n), modal_coeffs=coeffs)
+    """Project the vertex vector onto the Fourier modes (one FFT)."""
+    return SpectralDecomposition(n=poly.n, eigenvalues=eigenvalues(poly.n), modal_coeffs=_modes(poly.z))
 
 
 def closed_form_state(decomp: SpectralDecomposition, t: float) -> Polygon:
     """Exact state of the linear flow at time ``t >= 0``.
 
     Each modal coefficient is scaled by ``exp(lambda_k * t)`` and the modes are
-    resummed.  At large ``t`` all vertices approach the centroid.
+    resummed by the inverse FFT.  At large ``t`` all vertices approach the
+    centroid.
     """
     if t < 0.0:
         raise ValueError("time must be nonnegative")
-    n = decomp.n
-    k = np.arange(n)
-    w = np.exp(2j * np.pi * np.outer(k, k) / n)
-    z = w @ (decomp.modal_coeffs * np.exp(decomp.eigenvalues * t))
-    return Polygon._wrap(z)
+    c = decomp.modal_coeffs * np.exp(decomp.eigenvalues * t)
+    return Polygon._wrap(np.fft.ifft(c, norm="forward"))
 
 
 @dataclass(frozen=True)
@@ -147,12 +150,9 @@ def limit_ellipse(decomp: SpectralDecomposition) -> EllipseParams:
     relative to the remaining mode energy.
     """
     c = decomp.modal_coeffs
+    lead = float(_leading_magnitude(c, "slowest modes vanish; no limiting ellipse"))
     c1 = complex(c[1])
     cn = complex(c[-1])
-    lead = abs(c1) + abs(cn)
-    rest = float(np.sqrt(np.sum(np.abs(c[1:]) ** 2)))
-    if lead <= LEADING_MODE_TOL * rest or rest == 0.0:
-        raise DegenerateLeadingModeError("slowest modes vanish; no limiting ellipse")
     minor = abs(abs(c1) - abs(cn))
     phi = (np.angle(c1) + np.angle(cn)) / 2.0
     return EllipseParams(
@@ -161,6 +161,23 @@ def limit_ellipse(decomp: SpectralDecomposition) -> EllipseParams:
         semi_minor=minor / lead,
         orientation=float(phi % np.pi),
     )
+
+
+def _ellipse_residuals(z: np.ndarray, ellipse: EllipseParams) -> np.ndarray:
+    # ellipse_residual of every row of the (S, n) stack z at once
+    scale = _leading_magnitude(_modes(z), "polygon has no leading-mode content")
+    w = (z - z.mean(axis=-1, keepdims=True)) / scale[..., None] - ellipse.center
+    w = w * np.exp(-1j * ellipse.orientation)
+    x = w.real
+    y = w.imag
+    a = ellipse.semi_major
+    b = ellipse.semi_minor
+    if b <= FLAT_AXIS_TOL:
+        over = np.maximum(np.abs(x) - a, 0.0)
+        dist = np.hypot(over, y)
+        return np.sqrt(np.mean(dist**2, axis=-1))
+    vals = np.abs((x / a) ** 2 + (y / b) ** 2 - 1.0)
+    return np.sqrt(np.mean(vals**2, axis=-1))
 
 
 def ellipse_residual(poly: Polygon, ellipse: EllipseParams) -> float:
@@ -174,20 +191,4 @@ def ellipse_residual(poly: Polygon, ellipse: EllipseParams) -> float:
     major-axis segment.  Raises :class:`DegenerateLeadingModeError` when the
     polygon itself has no leading-mode content to normalize by.
     """
-    d = decompose(poly)
-    scale = d.leading_magnitude
-    rest = float(np.sqrt(np.sum(np.abs(d.modal_coeffs[1:]) ** 2)))
-    if scale <= LEADING_MODE_TOL * rest or rest == 0.0:
-        raise DegenerateLeadingModeError("polygon has no leading-mode content")
-    w = (poly.z - poly.z.mean()) / scale - ellipse.center
-    w = w * np.exp(-1j * ellipse.orientation)
-    x = w.real
-    y = w.imag
-    a = ellipse.semi_major
-    b = ellipse.semi_minor
-    if b <= FLAT_AXIS_TOL:
-        over = np.maximum(np.abs(x) - a, 0.0)
-        dist = np.hypot(over, y)
-        return float(np.sqrt(np.mean(dist**2)))
-    vals = np.abs((x / a) ** 2 + (y / b) ** 2 - 1.0)
-    return float(np.sqrt(np.mean(vals**2)))
+    return float(_ellipse_residuals(poly.z[None], ellipse)[0])

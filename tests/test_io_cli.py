@@ -30,6 +30,7 @@ from polyshort.io_cli import (
     scenario_polygon,
     write_trajectory_csv,
 )
+from polyshort import simulate
 from polyshort.flows import FlowKind, FlowSpec
 from polyshort.simulate import SimConfig, Termination, Trajectory, run
 
@@ -208,6 +209,10 @@ class TestScenario:
             {"sim": {"t_end": 1.0, "min_edge_capture": math.nan}},
             {"outputs": 5},
             {"outputs": [["csv"]]},
+            {"sim": {"t_end": 10**400}},
+            {"polygon": {"vertices": [[10**400, 0], [1, 0], [0, 1]]}},
+            {"polygon": {"generator": {"kind": "random_star", "n": 6, "radius_range": [0.5, 10**400]}}},
+            {"polygon": {"vertices": [[k, k * k] for k in range(1001)]}},
         ],
     )
     def test_malformed_documents_rejected(self, mutation):
@@ -237,6 +242,10 @@ class TestScenario:
         f = tmp_path / "bad.json"
         f.write_text("{not json", encoding="utf-8")
         with pytest.raises(ScenarioError):
+            load_scenario(f)
+        # nested deeper than the JSON decoder's recursion allows
+        f.write_text("[" * 100000, encoding="utf-8")
+        with pytest.raises(ScenarioError, match="invalid JSON"):
             load_scenario(f)
 
 
@@ -301,13 +310,12 @@ class TestRenderSvg:
     def test_single_snapshot_square(self):
         sq = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
         traj = run(sq, FlowSpec.linear(), SimConfig(t_end=0.01, dt=0.01))
-        svg = render_svg(traj, show_trajectories=False, snapshot_times=[0.0])
+        svg = render_svg(traj, snapshot_times=[0.0])
         assert svg.count("<path") == 1
         d = svg.split(' d="')[1].split('"')[0]
         assert d.startswith("M ")
         assert d.count(" L ") == 3
         assert d.endswith("Z")
-        assert "polyline" not in svg
         assert "viewBox=" in svg
 
     def test_default_five_snapshots_and_paths(self):
@@ -360,6 +368,12 @@ class TestCli:
         sc = write_scenario(tmp_path)
         assert cli_main(["spectrum", "--n", "5", "--scenario", str(sc)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("n", ["2", "1001", "1000000000000000"])
+    def test_spectrum_n_outside_vertex_bound(self, capsys, n):
+        assert cli_main(["spectrum", "--n", n]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --n must be within [3, 1000]")
 
     def test_spectrum_scenario_magnitudes(self, tmp_path, capsys):
         sc = write_scenario(tmp_path)
@@ -443,6 +457,16 @@ class TestCli:
             assert cli_main(argv) == 2
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_simulate_step_cap_exits_1(self, tmp_path, capsys, monkeypatch):
+        # the run would take 50 steps without the cap
+        monkeypatch.setattr(simulate, "MAX_STEPS", 3)
+        sc = write_scenario(tmp_path, sim={"t_end": 0.5, "dt": 0.01, "stop_diameter": 0, "record_every": 1})
+        assert cli_main(["simulate", "--scenario", str(sc), "--out-dir", str(tmp_path)]) == 1
+        assert "termination=MAX_STEPS" in capsys.readouterr().out
+        summary = json.loads((tmp_path / "sq.json").read_text(encoding="utf-8"))
+        assert summary["termination"] == "MAX_STEPS" and summary["samples"] == 4
+        assert read_trajectory_csv(tmp_path / "sq.csv").termination is Termination.MAX_STEPS
 
     def test_simulate_string_adaptive_is_usage_error(self, tmp_path, capsys):
         sim = {"t_end": 0.5, "dt": 0.01, "adaptive": "false"}

@@ -10,7 +10,10 @@ cyclic neighbours were once taken with ``np.roll`` and whose Menger-Melnikov
 field once called the scalar circumcircle in a per-vertex loop.  The side-pair
 test of ``is_simple`` was once a scalar loop over the pairs; that loop, and
 the one-polygon star and convexity classifiers built on it, are kept here as
-the oracle for the stacked classification.
+the oracle for the stacked classification.  The modal transform was once a
+pair of direct O(n^2) sums through hand-built DFT matrices, and the ellipse
+series a per-sample loop; those bodies are kept here as the oracle for the
+FFT and for the stacked residual.
 """
 
 import tempfile
@@ -20,11 +23,11 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from polyshort.analysis import perimeter_rate  # noqa: E402
+from polyshort.analysis import ellipse_convergence_series, perimeter_rate  # noqa: E402
 from polyshort.flows import (  # noqa: E402
     ANTIPARALLEL_TOL,
     CoincidentVerticesError,
@@ -62,8 +65,28 @@ from polyshort.geometry import (  # noqa: E402
     star_function,
     star_values,
 )
-from polyshort.io_cli import read_trajectory_csv, write_trajectory_csv  # noqa: E402
+from polyshort.io_cli import (  # noqa: E402
+    GeneratorKind,
+    GeneratorSpec,
+    generate,
+    read_trajectory_csv,
+    write_trajectory_csv,
+)
 from polyshort.simulate import Termination, Trajectory  # noqa: E402
+from polyshort.spectral import (  # noqa: E402
+    FLAT_AXIS_TOL,
+    LEADING_MODE_TOL,
+    DegenerateLeadingModeError,
+    EllipseParams,
+    SpectralDecomposition,
+    _modes,
+    closed_form_state,
+    decompose,
+    eigenvalues,
+    ellipse_residual,
+    leading_decay_rate,
+    limit_ellipse,
+)
 
 _TWO_PI = 2.0 * np.pi
 
@@ -459,7 +482,7 @@ def test_stacked_simple(z):
 
 @given(STACK)
 def test_stacked_star_classes(z):
-    tags, alpha, r = _star_classes(z)
+    tags, alpha, r, _ = _star_classes(z)
     assert tags.shape == z.shape[:1] and alpha.shape == r.shape == z.shape
     for row, tag, a, rr in zip(z, tags, alpha, r):
         ref_tag, ref_alpha, ref_r = ref_classify_star(row)
@@ -487,3 +510,144 @@ def test_simple_spans_pair_blocks():
         assert z.shape[0] * n * (n - 3) // 2 > 2 * _PAIR_BLOCK
         got = [bool(v) for v in _simple(z)]
         assert got == [ref_is_simple(row) for row in z] == [k is None for k in swaps]
+
+
+# The modal transform: the direct sums, as decompose, closed_form_state,
+# limit_ellipse and ellipse_residual computed them through DFT matrices.
+
+
+def ref_decompose(poly):
+    """Project the vertex vector onto the Fourier modes (direct O(n^2) sums)."""
+    z = poly.z
+    n = z.size
+    k = np.arange(n)
+    w = np.exp(-2j * np.pi * np.outer(k, k) / n)
+    coeffs = w @ z / n
+    return SpectralDecomposition(n=n, eigenvalues=eigenvalues(n), modal_coeffs=coeffs)
+
+
+def ref_closed_form_state(decomp, t):
+    if t < 0.0:
+        raise ValueError("time must be nonnegative")
+    n = decomp.n
+    k = np.arange(n)
+    w = np.exp(2j * np.pi * np.outer(k, k) / n)
+    z = w @ (decomp.modal_coeffs * np.exp(decomp.eigenvalues * t))
+    return Polygon._wrap(z)
+
+
+def ref_limit_ellipse(decomp):
+    c = decomp.modal_coeffs
+    c1 = complex(c[1])
+    cn = complex(c[-1])
+    lead = abs(c1) + abs(cn)
+    rest = float(np.sqrt(np.sum(np.abs(c[1:]) ** 2)))
+    if lead <= LEADING_MODE_TOL * rest or rest == 0.0:
+        raise DegenerateLeadingModeError("slowest modes vanish; no limiting ellipse")
+    minor = abs(abs(c1) - abs(cn))
+    phi = (np.angle(c1) + np.angle(cn)) / 2.0
+    return EllipseParams(center=0j, semi_major=1.0, semi_minor=minor / lead, orientation=float(phi % np.pi))
+
+
+def ref_ellipse_residual(poly, ellipse):
+    d = ref_decompose(poly)
+    scale = float(abs(d.modal_coeffs[1]) + abs(d.modal_coeffs[-1]))
+    rest = float(np.sqrt(np.sum(np.abs(d.modal_coeffs[1:]) ** 2)))
+    if scale <= LEADING_MODE_TOL * rest or rest == 0.0:
+        raise DegenerateLeadingModeError("polygon has no leading-mode content")
+    w = (poly.z - poly.z.mean()) / scale - ellipse.center
+    w = w * np.exp(-1j * ellipse.orientation)
+    x = w.real
+    y = w.imag
+    a = ellipse.semi_major
+    b = ellipse.semi_minor
+    if b <= FLAT_AXIS_TOL:
+        over = np.maximum(np.abs(x) - a, 0.0)
+        dist = np.hypot(over, y)
+        return float(np.sqrt(np.mean(dist**2)))
+    vals = np.abs((x / a) ** 2 + (y / b) ** 2 - 1.0)
+    return float(np.sqrt(np.mean(vals**2)))
+
+
+def ref_ellipse_series(traj):
+    # the per-sample loop of ellipse_convergence_series
+    states = traj.states
+    ellipse = ref_limit_ellipse(ref_decompose(states[0]))
+    return [(float(t), ref_ellipse_residual(s, ellipse)) for t, s in zip(traj.times, states)]
+
+
+_EPS = np.finfo(np.float64).eps
+FFT_STACK = st.tuples(st.integers(1, 4), st.integers(3, 64)).flatmap(
+    lambda shape: arrays(np.complex128, shape, elements=POINT)
+)
+
+
+@settings(deadline=None)
+@given(FFT_STACK, st.floats(0.0, 10.0))
+def test_fft_against_direct_sums(z, t):
+    # both sum n terms of size at most max|z|: they may differ by rounding only
+    modes = _modes(z)
+    for row, c in zip(z, modes):
+        poly = Polygon._wrap(row)
+        bound = 8 * row.size * _EPS * np.abs(row).max()
+        dec = decompose(poly)
+        ref = ref_decompose(poly)
+        # a row of a stack gets the bits of the row alone
+        assert same_bits(dec.modal_coeffs.view(np.float64), c.view(np.float64))
+        assert np.abs(dec.modal_coeffs - ref.modal_coeffs).max() <= bound
+        assert np.abs(closed_form_state(dec, t).z - ref_closed_form_state(ref, t).z).max() <= bound
+
+
+def series_outcome(fn):
+    """``fn()`` as an array of (time, residual) rows, or the degeneracy message."""
+    try:
+        return np.array(fn())
+    except DegenerateLeadingModeError as exc:
+        return str(exc)
+
+
+# a real row has |c_1| = |c_{n-1}|: the flat-ellipse branch
+@example(np.array([[0.0, 1.3, 2.9, 4.0, 0.7], [0.0, 1.0, 2.5, 3.5, 0.5]], dtype=np.complex128))
+# row 0 is fine, row 1 is a pure frequency-2 loop with no leading modes
+@example(np.array([[1, 1j, -1, -1j], [1, -1, 1, -1]], dtype=np.complex128))
+@given(STACK)
+def test_stacked_ellipse_series(z):
+    # one stacked call gives each row the bits of a one-row call, and raises
+    # as the per-sample loop did: row 0 through limit_ellipse, then any row
+    traj = Trajectory(np.arange(z.shape[0], dtype=float), z, Termination.T_END)
+
+    def per_sample():
+        ellipse = limit_ellipse(decompose(Polygon._wrap(traj.z[0])))
+        return [(float(t), ellipse_residual(Polygon._wrap(row), ellipse)) for t, row in zip(traj.times, traj.z)]
+
+    got = series_outcome(lambda: ellipse_convergence_series(traj))
+    expected = series_outcome(per_sample)
+    if isinstance(expected, str):
+        assert isinstance(got, str) and got == expected
+    else:
+        assert not isinstance(got, str) and same_bits(got, expected)
+
+
+GENERATED = st.tuples(
+    st.sampled_from([GeneratorKind.RANDOM_STAR, GeneratorKind.RANDOM_CONVEX]),
+    st.integers(3, 40),
+    st.integers(0, 2**32),
+)
+
+
+@settings(deadline=None)
+@given(GENERATED)
+def test_ellipse_series_against_direct_sums(spec):
+    # exact linear flow of a generated polygon over six leading time constants
+    kind, n, seed = spec
+    poly = generate(GeneratorSpec(kind, n=n), seed)
+    ref = ref_decompose(poly)
+    times = np.linspace(0.0, 6.0, 13) / leading_decay_rate(n)
+    z = np.array([ref_closed_form_state(ref, float(t)).z for t in times])
+    traj = Trajectory(times, z, Termination.T_END)
+    got = np.array(ellipse_convergence_series(traj))
+    expected = np.array(ref_ellipse_series(traj))
+    assert same_bits(got[:, 0], expected[:, 0])
+    # the residual is an RMS of O(1) terms that cancel as the shape converges,
+    # so rounding is relative to the unit semi-major axis, not to the residual
+    assert np.all(np.abs(got[:, 1] - expected[:, 1]) <= 1e-12 * np.maximum(expected[:, 1], 1.0))

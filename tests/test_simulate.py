@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from polyshort import flows, geometry
+from polyshort import flows, geometry, simulate
 from polyshort.flows import DegenerateTripleError, FlowSpec
 from polyshort.geometry import Polygon
 from polyshort.io_cli import _BOOMERANG_VERTICES, GeneratorKind, GeneratorSpec, generate
@@ -178,6 +178,21 @@ class TestRunLinear:
         assert traj.termination is Termination.COLLAPSED
         assert len(traj) == 1
         assert traj.times[0] == 0.0
+
+    def test_step_cap_ends_the_run(self, monkeypatch):
+        # 100 steps without the cap, so the test ends whatever the cap does
+        monkeypatch.setattr(simulate, "MAX_STEPS", 3)
+        cfg = SimConfig(t_end=1.0, dt=0.01, stop_diameter=0.0, record_every=2)
+        traj = run(UNIT_SQUARE, FlowSpec.linear(), cfg)
+        assert traj.termination is Termination.MAX_STEPS
+        # record_every still applies; the final state is always recorded
+        assert traj.times.tolist() == [0.0, 0.02, 0.03]
+
+    def test_end_of_time_beats_the_step_cap(self, monkeypatch):
+        monkeypatch.setattr(simulate, "MAX_STEPS", 3)
+        traj = run(UNIT_SQUARE, FlowSpec.linear(), SimConfig(t_end=0.03, dt=0.01))
+        assert traj.termination is Termination.T_END
+        assert len(traj) == 4
 
 
 class TestRunMengerMelnikov:
