@@ -29,7 +29,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from polyshort.io_cli import cli_main  # noqa: E402
+from polyshort.cli import cli_main  # noqa: E402
 
 
 def _cli(*argv) -> None:

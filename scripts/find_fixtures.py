@@ -5,7 +5,7 @@ Run from the repository root:
     python3 scripts/find_fixtures.py [--seed N]
 
 The script searches two shape families and prints the winning vertex lists as
-Python literals ready to paste into ``polyshort.io_cli``:
+Python literals ready to paste into ``polyshort.generators``:
 
 * boomerang: V-shaped solids with a densely sampled outer boundary and a
   coarse, deeply notched inner one.  Candidates are scored by the exact
@@ -35,7 +35,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import polyshort as ps
-from polyshort.io_cli import SplitMix64
+from polyshort.generators import SplitMix64
 
 
 def area_growth_rate(poly) -> float:

@@ -1,162 +1,18 @@
 """Polygon shortening flows: geometry predicates, three flows, spectral
 solution of the linear one, fixed-step integration, invariant checks, and
-deterministic artifact generation."""
+deterministic artifact generation.  Each public name is declared once, in its
+module's ``__all__``; the command line, :mod:`polyshort.cli`, is not imported."""
 
-from .analysis import (
-    CheckReport,
-    NotSimpleError,
-    PreconditionNotConvexError,
-    PreconditionNotStarError,
-    PreconditionTooShortError,
-    check_area_monotone,
-    check_convexity_preservation,
-    check_ellipse_convergence,
-    check_perimeter_monotone,
-    check_star_preservation,
-    ellipse_convergence_series,
-    perimeter_rate,
-    report_json,
-    report_lines,
-)
-from .flows import (
-    BisectorSpeedMode,
-    CoincidentVerticesError,
-    DegenerateTripleError,
-    FlowDegeneracyError,
-    FlowKind,
-    FlowSpec,
-    VelocityField,
-    velocity,
-)
-from .geometry import (
-    Circumcircle,
-    ConvexityClass,
-    ConvexityTag,
-    Polygon,
-    StarClass,
-    StarTag,
-    centroid,
-    circumcircle,
-    classify_convexity,
-    classify_star,
-    convex_function,
-    convexity_values,
-    is_simple,
-    perimeter,
-    signed_area,
-    star_function,
-    star_values,
-)
-from .io_cli import (
-    GenerationFailedError,
-    GeneratorKind,
-    GeneratorSpec,
-    Scenario,
-    ScenarioError,
-    SplitMix64,
-    generate,
-    load_scenario,
-    read_trajectory_csv,
-    render_svg,
-    scenario_polygon,
-    write_trajectory_csv,
-)
-from .simulate import (
-    SimConfig,
-    Termination,
-    Trajectory,
-    TrajectoryPredicate,
-    detect_first,
-    run,
-    step_rk4,
-)
-from .spectral import (
-    DegenerateLeadingModeError,
-    EllipseParams,
-    SpectralDecomposition,
-    closed_form_state,
-    decompose,
-    eigenvalues,
-    ellipse_residual,
-    leading_decay_rate,
-    limit_ellipse,
-)
+from . import analysis, artifacts, flows, generators, geometry, simulate, spectral
+from .analysis import *  # noqa: F401,F403
+from .artifacts import *  # noqa: F401,F403
+from .flows import *  # noqa: F401,F403
+from .generators import *  # noqa: F401,F403
+from .geometry import *  # noqa: F401,F403
+from .simulate import *  # noqa: F401,F403
+from .spectral import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # geometry
-    "Polygon",
-    "StarTag",
-    "StarClass",
-    "ConvexityTag",
-    "ConvexityClass",
-    "Circumcircle",
-    "centroid",
-    "perimeter",
-    "signed_area",
-    "star_function",
-    "convex_function",
-    "star_values",
-    "convexity_values",
-    "classify_star",
-    "classify_convexity",
-    "is_simple",
-    "circumcircle",
-    # flows
-    "FlowKind",
-    "FlowSpec",
-    "BisectorSpeedMode",
-    "VelocityField",
-    "FlowDegeneracyError",
-    "DegenerateTripleError",
-    "CoincidentVerticesError",
-    "velocity",
-    # spectral
-    "SpectralDecomposition",
-    "EllipseParams",
-    "DegenerateLeadingModeError",
-    "eigenvalues",
-    "leading_decay_rate",
-    "decompose",
-    "closed_form_state",
-    "limit_ellipse",
-    "ellipse_residual",
-    # simulate
-    "SimConfig",
-    "Trajectory",
-    "Termination",
-    "TrajectoryPredicate",
-    "run",
-    "step_rk4",
-    "detect_first",
-    # analysis
-    "CheckReport",
-    "PreconditionNotStarError",
-    "PreconditionNotConvexError",
-    "NotSimpleError",
-    "PreconditionTooShortError",
-    "perimeter_rate",
-    "check_perimeter_monotone",
-    "check_star_preservation",
-    "check_convexity_preservation",
-    "check_area_monotone",
-    "check_ellipse_convergence",
-    "ellipse_convergence_series",
-    "report_lines",
-    "report_json",
-    # io
-    "SplitMix64",
-    "GeneratorKind",
-    "GeneratorSpec",
-    "GenerationFailedError",
-    "Scenario",
-    "ScenarioError",
-    "generate",
-    "load_scenario",
-    "scenario_polygon",
-    "write_trajectory_csv",
-    "read_trajectory_csv",
-    "render_svg",
-]
+_MODULES = (geometry, flows, spectral, simulate, analysis, generators, artifacts)
+__all__ = ["__version__", *(name for module in _MODULES for name in module.__all__)]

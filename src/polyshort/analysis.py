@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import geometry, spectral
-from .flows import VelocityField, _bisector_direction
+from .flows import FlowSpec, VelocityField, _bisector_direction, velocity
+from .generators import GeneratorKind, GeneratorSpec, SplitMix64, generate
 from .geometry import ConvexityTag, Polygon, StarTag
-from .simulate import Termination, Trajectory
+from .simulate import SimConfig, Termination, Trajectory, run
 
 __all__ = [
     "CheckReport",
@@ -39,6 +40,7 @@ __all__ = [
     "ellipse_convergence_series",
     "report_lines",
     "report_json",
+    "validate_suite",
 ]
 
 MONOTONE_SLACK = 1e-12
@@ -61,6 +63,16 @@ class NotSimpleError(ValueError):
 
 class PreconditionTooShortError(ValueError):
     """No pair of samples lies past one leading time constant, where the ellipse check starts."""
+
+
+# Errors meaning a check does not apply to the trajectory: neither a pass nor a failure.
+NOT_APPLICABLE = (
+    PreconditionNotStarError,
+    PreconditionNotConvexError,
+    NotSimpleError,
+    PreconditionTooShortError,
+    spectral.DegenerateLeadingModeError,
+)
 
 
 @dataclass(frozen=True)
@@ -235,6 +247,73 @@ def check_line_deviation(traj: Trajectory) -> CheckReport:
     diam0 = float(d.max())
     dev = float(np.abs(((traj.z - z0[i]) * np.conj(direction)).imag).max())
     return _bound_report("line_deviation", traj, dev, 1e-9 * diam0)
+
+
+def validate_suite(ensemble_size: int, seed: int) -> list:
+    """The randomized theorem suite behind ``polyshort validate``, one report per check.
+
+    Random stars and convex polygons (``ensemble_size`` of each, at least 1)
+    run the linear flow to collapse, ten collinear polygons stay on their line,
+    the bisector beats random fields on ``ensemble_size`` stars, and RK4
+    matches the closed form.  All draws come from one :class:`SplitMix64`
+    seeded with ``seed``.
+    """
+    if ensemble_size < 1:
+        raise ValueError(f"--ensemble-size must be at least 1, not {ensemble_size}")
+    reports = []
+    root = SplitMix64(seed)
+
+    # star polygons stay stars; perimeter decays to collapse; centroid fixed
+    for i in range(ensemble_size):
+        n = 4 + (i % 7)
+        poly = generate(GeneratorSpec(GeneratorKind.RANDOM_STAR, n=n), root.next_u64())
+        diam0 = poly.diameter()
+        cfg = SimConfig(t_end=400.0, dt=0.05, stop_diameter=1e-4 * diam0, record_every=10)
+        traj = run(poly, FlowSpec.linear(), cfg)
+        reports.append(replace(check_star_preservation(traj), check_name=f"star_preservation[{i:02d}]"))
+        reports.append(replace(check_perimeter_monotone(traj), check_name=f"star_perimeter[{i:02d}]"))
+        reports.append(replace(check_centroid_drift(traj, diam0), check_name=f"star_centroid_drift[{i:02d}]"))
+
+    # strictly convex polygons stay strictly convex; area shrinks
+    for i in range(ensemble_size):
+        n = 5 + (i % 6)
+        poly = generate(GeneratorSpec(GeneratorKind.RANDOM_CONVEX, n=n), root.next_u64())
+        diam0 = poly.diameter()
+        cfg = SimConfig(t_end=400.0, dt=0.05, stop_diameter=1e-4 * diam0, record_every=10)
+        traj = run(poly, FlowSpec.linear(), cfg)
+        reports.append(replace(check_convexity_preservation(traj), check_name=f"convexity_preservation[{i:02d}]"))
+        reports.append(replace(check_area_monotone(traj), check_name=f"convex_area[{i:02d}]"))
+        reports.append(replace(check_perimeter_monotone(traj), check_name=f"convex_perimeter[{i:02d}]"))
+        reports.append(replace(check_centroid_drift(traj, diam0), check_name=f"convex_centroid_drift[{i:02d}]"))
+
+    # collinear states stay collinear
+    for i in range(10):
+        poly = generate(GeneratorSpec(GeneratorKind.COLLINEAR, n=6 + (i % 4)), root.next_u64())
+        traj = run(poly, FlowSpec.linear(), SimConfig(t_end=2.0, dt=0.01, record_every=20))
+        reports.append(replace(check_line_deviation(traj), check_name=f"collinear_invariance[{i:02d}]"))
+
+    # bisector direction is perimeter-optimal among magnitude-matched fields
+    for i in range(ensemble_size):
+        poly = generate(GeneratorSpec(GeneratorKind.RANDOM_STAR, n=5 + (i % 6)), root.next_u64())
+        u = velocity(poly, FlowSpec.bisector())
+        rate_u = perimeter_rate(poly, u)
+        margin = math.inf
+        for _ in range(10):
+            phases = np.array([root.uniform(0.0, 2.0 * np.pi) for _ in range(poly.n)])
+            v = np.abs(u.velocities) * np.exp(1j * phases)
+            margin = min(margin, perimeter_rate(poly, v) - rate_u)
+        first = None if margin >= -1e-12 else 0.0
+        reports.append(_report(f"bisector_optimality[{i:02d}]", first, margin, 10))
+
+    # integrator agrees with the exact modal solution
+    for i in range(3):
+        poly = generate(GeneratorSpec(GeneratorKind.RANDOM_STAR, n=8), root.next_u64())
+        traj = run(poly, FlowSpec.linear(), SimConfig(t_end=2.0, dt=1e-3, record_every=200))
+        dec = spectral.decompose(poly)
+        exact = np.array([spectral.closed_form_state(dec, t).z for t in traj.times.tolist()])
+        err = float(np.abs(traj.z - exact).max())
+        reports.append(_bound_report(f"rk4_vs_closed_form[{i}]", traj, err, 1e-6))
+    return reports
 
 
 def report_lines(reports) -> list:

@@ -58,7 +58,12 @@ _TWO_PI = 2.0 * np.pi
 def _as_complex_vertices(vertices) -> np.ndarray:
     arr = np.asarray(vertices)
     if arr.ndim == 2 and arr.shape[-1] == 2:
-        arr = arr[:, 0] + 1j * arr[:, 1]
+        if arr.dtype.kind not in "biufO":
+            raise TypeError("vertex coordinates must be real numbers")
+        # assigned, not x + 1j * y: 1j * inf multiplies 0 by inf and warns
+        z = np.empty(len(arr), dtype=np.complex128)
+        z.real, z.imag = arr[:, 0], arr[:, 1]
+        return z
     return np.array(arr, dtype=np.complex128)
 
 

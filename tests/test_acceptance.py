@@ -18,7 +18,9 @@ from polyshort.analysis import (
     ellipse_convergence_series,
     perimeter_rate,
 )
+from polyshort.cli import cli_main
 from polyshort.flows import FlowSpec, velocity
+from polyshort.generators import GeneratorKind, GeneratorSpec, generate
 from polyshort.geometry import (
     ConvexityTag,
     Polygon,
@@ -28,7 +30,6 @@ from polyshort.geometry import (
     is_simple,
     perimeter,
 )
-from polyshort.io_cli import GeneratorKind, GeneratorSpec, cli_main, generate
 from polyshort.simulate import (
     SimConfig,
     Termination,

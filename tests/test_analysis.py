@@ -22,20 +22,15 @@ from polyshort.analysis import (
     report_json,
     report_lines,
 )
+from polyshort.cli import _FIG9_VERTICES
 from polyshort.flows import (
     BisectorSpeedMode,
     CoincidentVerticesError,
     FlowSpec,
     velocity,
 )
+from polyshort.generators import _BOOMERANG_VERTICES, GeneratorKind, GeneratorSpec, generate
 from polyshort.geometry import Polygon, perimeter
-from polyshort.io_cli import (
-    _BOOMERANG_VERTICES,
-    _FIG9_VERTICES,
-    GeneratorKind,
-    GeneratorSpec,
-    generate,
-)
 from polyshort.simulate import SimConfig, Termination, Trajectory, run
 from polyshort.spectral import DegenerateLeadingModeError, eigenvalues, leading_decay_rate
 

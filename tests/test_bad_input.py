@@ -10,6 +10,7 @@ for up to ``MAX_STEPS`` steps.
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -19,15 +20,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from polyshort.flows import FlowSpec  # noqa: E402
-from polyshort.geometry import Polygon  # noqa: E402
-from polyshort.io_cli import (  # noqa: E402
+from polyshort.artifacts import (  # noqa: E402
     ScenarioError,
-    cli_main,
     read_trajectory_csv,
     scenario_from_dict,
     write_trajectory_csv,
 )
+from polyshort.cli import cli_main  # noqa: E402
+from polyshort.flows import FlowSpec  # noqa: E402
+from polyshort.geometry import Polygon  # noqa: E402
 from polyshort.simulate import SimConfig, run  # noqa: E402
 
 # a JSON integer too large for a float
@@ -124,6 +125,17 @@ def test_scenario_from_dict(doc):
         scenario_from_dict(doc)
     except ScenarioError:
         pass
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("vertex", [[0, math.inf], [-math.inf, 0], [math.nan, 1], [math.inf, math.nan]])
+def test_simulate_non_finite_vertex_is_one_error_line(tmp_path, vertex):
+    # a warning raised as an error would escape cli_main as a traceback
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(with_value(("polygon", "vertices"), [vertex, [1, 0], [0, 1]])), encoding="utf-8")
+    code, _, err = cli(["simulate", "--scenario", path, "--out-dir", tmp_path])
+    assert code == 2
+    assert err.splitlines() == ["error: polygon vertices must be finite"]
 
 
 @settings(max_examples=50, deadline=None)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from polyshort import geometry
+from polyshort.generators import _BOOMERANG_VERTICES, _EMBEDDED_LOSS_VERTICES
 from polyshort.geometry import (
     ConvexityTag,
     Polygon,
@@ -22,7 +23,6 @@ from polyshort.geometry import (
     star_function,
     star_values,
 )
-from polyshort.io_cli import _BOOMERANG_VERTICES, _EMBEDDED_LOSS_VERTICES
 
 try:
     from hypothesis import given
@@ -67,6 +67,11 @@ class TestPolygonConstruction:
             Polygon([(0, 0), (1, 0), (np.nan, 1)])
         with pytest.raises(ValueError):
             Polygon([(0, 0), (np.inf, 0), (0, 1)])
+
+    @pytest.mark.parametrize("bad", [("1", "0"), (1j, 0)])
+    def test_pairs_must_be_real_numbers(self, bad):
+        with pytest.raises(TypeError, match="real numbers"):
+            Polygon([(0, 0), bad, (0, 1)])
 
     def test_vertices_are_frozen(self):
         p = UNIT_SQUARE
@@ -273,7 +278,7 @@ class TestClassifyConvexity:
 class TestLemma5StarFromConvex:
     def test_strictly_convex_ccw_classifies_ccw_star(self):
         """Strict convexity implies a counterclockwise star formation."""
-        from polyshort.io_cli import GeneratorKind, GeneratorSpec, generate
+        from polyshort.generators import GeneratorKind, GeneratorSpec, generate
 
         for seed in range(50):
             poly = generate(

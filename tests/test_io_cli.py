@@ -6,6 +6,20 @@ import math
 import numpy as np
 import pytest
 
+from polyshort import simulate
+from polyshort.artifacts import (
+    Scenario,
+    ScenarioError,
+    load_scenario,
+    read_trajectory_csv,
+    render_svg,
+    scenario_from_dict,
+    scenario_polygon,
+    write_trajectory_csv,
+)
+from polyshort.cli import cli_main
+from polyshort.flows import FlowKind, FlowSpec
+from polyshort.generators import GenerationFailedError, GeneratorKind, GeneratorSpec, SplitMix64, generate
 from polyshort.geometry import (
     ConvexityTag,
     Polygon,
@@ -14,24 +28,6 @@ from polyshort.geometry import (
     classify_star,
     is_simple,
 )
-from polyshort.io_cli import (
-    GenerationFailedError,
-    GeneratorKind,
-    GeneratorSpec,
-    Scenario,
-    ScenarioError,
-    SplitMix64,
-    cli_main,
-    generate,
-    load_scenario,
-    read_trajectory_csv,
-    render_svg,
-    scenario_from_dict,
-    scenario_polygon,
-    write_trajectory_csv,
-)
-from polyshort import simulate
-from polyshort.flows import FlowKind, FlowSpec
 from polyshort.simulate import SimConfig, Termination, Trajectory, run
 
 
@@ -113,6 +109,15 @@ class TestGenerate:
         i, j = np.unravel_index(int(d.argmax()), d.shape)
         direction = (z[j] - z[i]) / abs(z[j] - z[i])
         offs = (z - z[i]) * np.conj(direction)
+        assert np.abs(offs.imag).max() <= 1e-9 * p.diameter()
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_collinear_builds_large_n(self, n, seed):
+        # the spacing floor shrinks like 1 / n**2, as the smallest gap of n draws does
+        p = generate(GeneratorSpec(GeneratorKind.COLLINEAR, n=n), seed)
+        assert p.n == n
+        offs = (p.z - p.z[0]) * np.conj(p.z[1] - p.z[0]) / abs(p.z[1] - p.z[0])
         assert np.abs(offs.imag).max() <= 1e-9 * p.diameter()
 
     def test_fixtures_are_frozen_counterexamples(self):

@@ -28,6 +28,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from polyshort.analysis import ellipse_convergence_series, perimeter_rate  # noqa: E402
+from polyshort.artifacts import read_trajectory_csv, write_trajectory_csv  # noqa: E402
 from polyshort.flows import (  # noqa: E402
     ANTIPARALLEL_TOL,
     CoincidentVerticesError,
@@ -38,6 +39,7 @@ from polyshort.flows import (  # noqa: E402
     _linear_field,
     _menger_melnikov_field,
 )
+from polyshort.generators import GeneratorKind, GeneratorSpec, generate  # noqa: E402
 from polyshort.geometry import (  # noqa: E402
     _PAIR_BLOCK,
     ANGLE_SUM_TOL,
@@ -64,13 +66,6 @@ from polyshort.geometry import (  # noqa: E402
     signed_area,
     star_function,
     star_values,
-)
-from polyshort.io_cli import (  # noqa: E402
-    GeneratorKind,
-    GeneratorSpec,
-    generate,
-    read_trajectory_csv,
-    write_trajectory_csv,
 )
 from polyshort.simulate import Termination, Trajectory  # noqa: E402
 from polyshort.spectral import (  # noqa: E402

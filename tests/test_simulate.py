@@ -7,8 +7,8 @@ import pytest
 
 from polyshort import flows, geometry, simulate
 from polyshort.flows import DegenerateTripleError, FlowSpec
+from polyshort.generators import _BOOMERANG_VERTICES, GeneratorKind, GeneratorSpec, generate
 from polyshort.geometry import Polygon
-from polyshort.io_cli import _BOOMERANG_VERTICES, GeneratorKind, GeneratorSpec, generate
 from polyshort.simulate import (
     SimConfig,
     Termination,
@@ -270,7 +270,7 @@ class TestDetectFirst:
         assert t == traj.times[1]
 
     def test_star_becomes_convex_later(self):
-        from polyshort.io_cli import GeneratorKind, GeneratorSpec, generate
+        from polyshort.generators import GeneratorKind, GeneratorSpec, generate
         from polyshort.spectral import leading_decay_rate
 
         star = generate(GeneratorSpec(GeneratorKind.RANDOM_STAR, n=7), 5)
@@ -292,7 +292,7 @@ class TestDetectFirst:
         assert detect_first(traj, TrajectoryPredicate.LOSES_SIMPLICITY) is None
 
     def test_embedded_loss_fixture_crosses(self):
-        from polyshort.io_cli import _EMBEDDED_LOSS_VERTICES
+        from polyshort.generators import _EMBEDDED_LOSS_VERTICES
 
         poly = Polygon(_EMBEDDED_LOSS_VERTICES)
         assert geometry.is_simple(poly)
