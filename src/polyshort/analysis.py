@@ -259,7 +259,7 @@ def validate_suite(ensemble_size: int, seed: int) -> list:
     seeded with ``seed``.
     """
     if ensemble_size < 1:
-        raise ValueError(f"--ensemble-size must be at least 1, not {ensemble_size}")
+        raise ValueError(f"ensemble_size must be at least 1, not {ensemble_size}")
     reports = []
     root = SplitMix64(seed)
 

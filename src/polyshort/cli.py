@@ -135,6 +135,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if args.ensemble_size < 1:
+        raise ValueError(f"--ensemble-size must be at least 1, not {args.ensemble_size}")
     reports = validate_suite(args.ensemble_size, args.seed)
     for line in report_lines(reports):
         print(line)

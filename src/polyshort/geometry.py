@@ -54,6 +54,10 @@ ANGLE_SUM_TOL = 1e-9
 
 _TWO_PI = 2.0 * np.pi
 
+# _diameters forms at most this many pairwise distances at once, unless one row
+# alone has more.
+_DISTANCE_BLOCK = 4096
+
 
 def _as_complex_vertices(vertices) -> np.ndarray:
     arr = np.asarray(vertices)
@@ -64,6 +68,8 @@ def _as_complex_vertices(vertices) -> np.ndarray:
         z = np.empty(len(arr), dtype=np.complex128)
         z.real, z.imag = arr[:, 0], arr[:, 1]
         return z
+    if arr.dtype.kind not in "biufcO":
+        raise TypeError("vertices must be numbers")
     return np.array(arr, dtype=np.complex128)
 
 
@@ -141,8 +147,16 @@ def _diameter(z: np.ndarray) -> float:
 
 
 def _diameters(z: np.ndarray) -> np.ndarray:
-    # one n x n matrix at a time: a stacked (S, n, n) one grows too large
-    return np.array([_diameter(row) for row in z])
+    # _diameter of every row of the (S, n) stack z, in blocks of rows that hold
+    # at most _DISTANCE_BLOCK distances (or of one row): a stacked (S, n, n)
+    # array grows too large
+    n = z.shape[-1]
+    rows = max(1, _DISTANCE_BLOCK // (n * n))
+    out = np.empty(len(z))
+    for i in range(0, len(z), rows):
+        block = z[i : i + rows]
+        out[i : i + rows] = np.abs(block[:, :, None] - block[:, None, :]).max(axis=(-2, -1))
+    return out
 
 
 # The private helpers below take one circuit or a stack of them, shape (..., n),

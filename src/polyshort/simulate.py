@@ -5,6 +5,12 @@ collapses (diameter below threshold), two adjacent vertices capture each
 other (bisector flow only), the flow's velocity becomes undefined, or it has
 taken ``MAX_STEPS`` steps.  The stopping reason is part of the returned
 trajectory, not an error.
+
+The linear flow is circulant, so one RK4 step of size h multiplies Fourier
+mode k by the RK4 stability polynomial R(h * lambda_k), and ``run`` computes
+a block of its steps at once, per mode, with no Python loop over the steps.
+The other flows step the vertices.  Both paths share one set of time, stop
+and record rules, applied to a block of states at a time.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry
+from . import geometry, spectral
 from .flows import FlowDegeneracyError, FlowKind, FlowSpec, _field_function
 from .geometry import ConvexityTag, Polygon
 
@@ -35,6 +41,16 @@ CURVATURE_STEP_FRACTION = 0.05
 
 # After this many steps a run ends with termination MAX_STEPS: every run ends.
 MAX_STEPS = 10**6
+
+# A linear run computes at most this many vertex positions at once, in blocks
+# of _MODAL_BLOCK // n steps; the other flows take _STEP_BLOCK steps ahead of
+# the stop tests.  A stop wastes at most the rest of its block.
+_MODAL_BLOCK = 4096
+_STEP_BLOCK = 8
+
+# The collapse test widens its bracket by this times (r + n max|z|): more than
+# the rounding of the centroid, of r and of the diameter can move either side.
+_BRACKET_ULPS = 16.0 * np.finfo(np.float64).eps
 
 
 class Termination(enum.Enum):
@@ -158,6 +174,127 @@ def step_rk4(poly: Polygon, flow: FlowSpec, dt: float) -> Polygon:
     return Polygon._wrap(_rk4(poly.z, fld, dt, fld(poly.z)))
 
 
+def _time_left(t, cfg: SimConfig):
+    # whether a run at time t (or at each of the times t) takes another step;
+    # where it does not, it ends T_END
+    return cfg.t_end - t > cfg.dt * 1e-9
+
+
+def _fixed_steps(t: float, cfg: SimConfig, k: int):
+    # End times of the next k steps from t, fewer if the time runs out first,
+    # and whether the last of them is the short step that ends at t_end
+    # exactly.  A step is dt long while more than dt remains.  The times are
+    # sums taken in order, so a block of them has the bits of a step-by-step
+    # loop's.
+    ts = np.full(k + 1, cfg.dt)
+    ts[0] = t
+    ts = np.add.accumulate(ts)
+    full = cfg.t_end - ts[:-1] > cfg.dt
+    if full.all():
+        return ts[1:], False
+    j = int(full.argmin())
+    if not _time_left(ts[j], cfg):
+        return ts[1 : j + 1], False
+    ts[j + 1] = cfg.t_end
+    return ts[1 : j + 2], True
+
+
+def _stepped_states(z: np.ndarray, flow: FlowSpec, cfg: SimConfig):
+    # RK4 steps of the vertices, in blocks of up to _STEP_BLOCK end times and
+    # states.  A block ends early after a step that the curvature cap
+    # shortened, as the rest of its times no longer apply.  A field that is
+    # undefined, or a step too small to advance the time, ends a block, and
+    # the next request raises FlowDegeneracyError.
+    fld = _field_function(flow)
+    adaptive = cfg.adaptive and flow.kind is FlowKind.MENGER_MELNIKOV
+    t = 0.0
+    while True:
+        ends, last = _fixed_steps(t, cfg, _STEP_BLOCK)
+        ts, zs = [], []
+        try:
+            for j, end in enumerate(ends.tolist()):
+                dt_eff = cfg.t_end - t if last and j == ends.size - 1 else cfg.dt
+                k1 = fld(z)
+                capped = False
+                if adaptive:
+                    vmax = float(np.abs(k1).max())
+                    if vmax > 0.0:
+                        cap_dt = CURVATURE_STEP_FRACTION * float(geometry._edge_lengths(z).min()) / vmax
+                        if cap_dt < dt_eff:
+                            dt_eff, end, capped = cap_dt, t + cap_dt, True
+                # a step too small to advance t means the flow is too stiff
+                if dt_eff < 1e-15 * cfg.dt or t + dt_eff == t:
+                    raise FlowDegeneracyError("step too small to advance the time")
+                z = _rk4(z, fld, dt_eff, k1)
+                t = end
+                ts.append(t)
+                zs.append(z)
+                if capped:
+                    break
+        except FlowDegeneracyError:
+            if ts:
+                yield np.array(ts), np.array(zs)
+            raise
+        yield np.array(ts), np.array(zs)
+
+
+def _modal_states(z: np.ndarray, cfg: SimConfig):
+    # RK4 steps of the linear flow taken per Fourier mode, in blocks of
+    # _MODAL_BLOCK // n end times and states.  The flow is circulant, so a step
+    # of size h multiplies mode k by R(h * lambda_k) and m steps multiply it by
+    # exp(m * log1p(R - 1)); a running product of R ~ 1 - 1e-4 would instead
+    # grow its rounding with m.
+    n = z.size
+    c0 = spectral._modes(z)
+    lam = spectral.eigenvalues(n)
+    log_gain = np.log1p(spectral._rk4_gain_m1(cfg.dt * lam))
+    k = max(1, _MODAL_BLOCK // n)
+    t, m = 0.0, 0
+    while True:
+        ts, last = _fixed_steps(t, cfg, k)
+        full = ts.size - last
+        # the modes now, then after each full step
+        c = c0 * np.exp(np.arange(m, m + full + 1)[:, None] * log_gain)
+        if last:
+            h = cfg.t_end - (ts[-2] if full else t)
+            c = np.concatenate((c, c[-1:] * (1.0 + spectral._rk4_gain_m1(h * lam))))
+        t, m = float(ts[-1]), m + full
+        yield ts, np.fft.ifft(c[1:], axis=-1, norm="forward")
+
+
+def _collapsed(z: np.ndarray, stop: float) -> np.ndarray:
+    # geometry._diameter(row) < stop for each row of the (k, n) stack z, decided
+    # exactly.  With r = max|z - g| about the centroid g, r <= diameter <= 2 r.
+    # Only the rows whose bracket, widened by a rounding margin, straddles stop
+    # (or is NaN), and that come before the first row surely below it, get
+    # the diameter.
+    n = z.shape[-1]
+    r = np.abs(z - z.sum(axis=-1, keepdims=True) / n).max(axis=-1)
+    margin = _BRACKET_ULPS * (r + n * np.abs(z).max(axis=-1))
+    out = 2.0 * r + margin < stop
+    first = int(out.argmax()) if out.any() else out.size
+    unsure = np.flatnonzero(~(r[:first] - margin[:first] >= stop))
+    if unsure.size:
+        out[unsure] = geometry._diameters(z[unsure]) < stop
+    return out
+
+
+def _first_stop(z: np.ndarray, ts: np.ndarray, steps: int, cfg: SimConfig, capture: float):
+    # The first row of the (k, n) stack z at which the run stops, and why; or
+    # (k, None).  Row i is the state at time ts[i] after steps + i steps.  At
+    # one state the rules go in the order collapse, capture, end of time,
+    # MAX_STEPS (read at call time, so a patched cap holds).
+    k = ts.size
+    rules = [(Termination.COLLAPSED, _collapsed(z, cfg.stop_diameter))]
+    if capture > 0.0:
+        rules.append((Termination.CAPTURE, geometry._edge_lengths(z).min(axis=-1) < capture))
+    rules.append((Termination.T_END, ~_time_left(ts, cfg)))
+    i = min([int(hit.argmax()) for _, hit in rules if hit.any()] + [max(MAX_STEPS - steps, 0), k])
+    if i == k:
+        return k, None
+    return i, next((reason for reason, hit in rules if hit[i]), Termination.MAX_STEPS)
+
+
 def run(poly: Polygon, flow: FlowSpec, cfg: SimConfig) -> Trajectory:
     """Integrate ``poly`` under ``flow`` and record every ``record_every``-th step.
 
@@ -166,59 +303,45 @@ def run(poly: Polygon, flow: FlowSpec, cfg: SimConfig) -> Trajectory:
     order: collapse, capture, end of time, ``MAX_STEPS`` steps taken.  A flow
     degeneracy, a non-finite step result or a step too small to advance the
     time ends the run with termination DEGENERATE at the last valid state.
+    The linear flow takes its RK4 steps per Fourier mode, a block of them at
+    a time; the other flows step the vertices.
     """
-    fld = _field_function(flow)
-    adaptive = cfg.adaptive and flow.kind is FlowKind.MENGER_MELNIKOV
     capture = cfg.min_edge_capture if flow.kind is FlowKind.BISECTOR else 0.0
     if capture is None:
         capture = 1e-6 * poly.diameter()
-    z = poly.z  # only ever rebound, never written in place: rows need no copies
-    t = 0.0
-    steps = 0
-    rec_t = [0.0]
-    rec_z = [z]
-    while True:
-        if geometry._diameter(z) < cfg.stop_diameter:
-            termination = Termination.COLLAPSED
-            break
-        if capture > 0.0 and geometry._edge_lengths(z).min() < capture:
-            termination = Termination.CAPTURE
-            break
-        remaining = cfg.t_end - t
-        if remaining <= cfg.dt * 1e-9:
-            termination = Termination.T_END
-            break
-        if steps >= MAX_STEPS:
-            termination = Termination.MAX_STEPS
-            break
-        last = remaining <= cfg.dt
-        dt_eff = remaining if last else cfg.dt
-        try:
-            k1 = fld(z)
-            if adaptive:
-                vmax = float(np.abs(k1).max())
-                if vmax > 0.0:
-                    cap_dt = CURVATURE_STEP_FRACTION * float(geometry._edge_lengths(z).min()) / vmax
-                    if cap_dt < dt_eff:
-                        dt_eff = cap_dt
-                        last = False
-            # a step too small to advance t means the flow is too stiff
-            z_new = None if dt_eff < 1e-15 * cfg.dt or t + dt_eff == t else _rk4(z, fld, dt_eff, k1)
-        except FlowDegeneracyError:
-            z_new = None
-        if z_new is None or not np.isfinite(z_new).all():
-            termination = Termination.DEGENERATE
-            break
-        z = z_new
-        t = cfg.t_end if last else t + dt_eff
-        steps += 1
-        if steps % cfg.record_every == 0:
-            rec_t.append(t)
-            rec_z.append(z)
-    if rec_t[-1] != t:
-        rec_t.append(t)
-        rec_z.append(z)
-    return Trajectory(rec_t, rec_z, termination)
+    blocks = _modal_states(poly.z, cfg) if flow.kind is FlowKind.LINEAR else _stepped_states(poly.z, flow, cfg)
+    # the current block of states: row i is the state after steps + i steps
+    ts, z, steps = np.zeros(1), poly.z[None], 0
+    final = ts, z
+    rec_t, rec_z = [], []
+    # an unstable step overflows; its non-finite state ends the run DEGENERATE
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            finite = np.isfinite(z).all(axis=-1)
+            valid = finite.size if finite.all() else int(finite.argmin())
+            i, termination = _first_stop(z[:valid], ts[:valid], steps, cfg, capture)
+            reached = i if termination is None else i + 1
+            if termination is None and valid < finite.size:
+                termination = Termination.DEGENERATE
+            # copies, so that a block is freed once its recorded rows are kept
+            first = -steps % cfg.record_every
+            rec_t.append(ts[first:reached:cfg.record_every].copy())
+            rec_z.append(z[first:reached:cfg.record_every].copy())
+            if reached:
+                final = ts[reached - 1 : reached], z[reached - 1 : reached]
+            if termination is not None:
+                break
+            steps += ts.size
+            try:
+                ts, z = next(blocks)
+            except FlowDegeneracyError:
+                termination = Termination.DEGENERATE
+                break
+        if np.concatenate(rec_t)[-1] != final[0][0]:
+            rec_t.append(final[0])
+            rec_z.append(final[1])
+        # the diagnostics of a state near overflow may overflow in turn
+        return Trajectory(np.concatenate(rec_t), np.concatenate(rec_z), termination)
 
 
 class TrajectoryPredicate(enum.Enum):

@@ -66,6 +66,12 @@ def eigenvalues(n: int) -> np.ndarray:
     return lam
 
 
+def _rk4_gain_m1(x: np.ndarray) -> np.ndarray:
+    # R(x) - 1 for the RK4 stability polynomial R(x) = 1 + x + x**2/2 + x**3/6 + x**4/24:
+    # one RK4 step of size h multiplies mode k of the linear flow by R(h * lambda_k)
+    return x * (1.0 + x * (0.5 + x * (1.0 / 6.0 + x / 24.0)))
+
+
 def leading_decay_rate(n: int) -> float:
     """Magnitude of the slowest nonzero decay rate, ``1 - cos(2*pi/n)``.
 

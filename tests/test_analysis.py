@@ -21,6 +21,7 @@ from polyshort.analysis import (
     perimeter_rate,
     report_json,
     report_lines,
+    validate_suite,
 )
 from polyshort.cli import _FIG9_VERTICES
 from polyshort.flows import (
@@ -304,3 +305,10 @@ class TestReportFormatting:
 
     def test_json_deterministic(self):
         assert report_json(self.REPORTS, seed=1) == report_json(self.REPORTS, seed=1)
+
+
+@pytest.mark.parametrize("size", [0, -1])
+def test_validate_suite_names_its_own_parameter(size):
+    # the library names its argument; the command line names its flag
+    with pytest.raises(ValueError, match=rf"^ensemble_size must be at least 1, not {size}$"):
+        validate_suite(size, 1)

@@ -138,6 +138,33 @@ def test_simulate_non_finite_vertex_is_one_error_line(tmp_path, vertex):
     assert err.splitlines() == ["error: polygon vertices must be finite"]
 
 
+def test_string_vertices_are_one_error_line(tmp_path):
+    doc = with_value(("polygon", "vertices"), ["0", "1", "1j"])
+    with pytest.raises(ScenarioError, match="vertices must be numbers"):
+        scenario_from_dict(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = cli(["simulate", "--scenario", path, "--out-dir", tmp_path])
+    assert code == 2
+    assert err.splitlines() == ["error: vertices must be numbers"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_unstable_step_writes_no_warning(tmp_path):
+    # dt = 2 is past RK4's stability edge for the fastest mode of this
+    # quadrilateral, which grows until it overflows: the run ends DEGENERATE,
+    # and a warning raised as an error would escape cli_main as a traceback
+    doc = with_value(("polygon", "vertices"), [[0, 0], [2, 0], [1, 1], [0, 1]])
+    doc["sim"] = {"t_end": 1e4, "dt": 2.0, "record_every": 100}
+    doc["outputs"] = ["csv", "report_json"]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = cli(["simulate", "--scenario", path, "--out-dir", tmp_path])
+    assert code == 1
+    assert "termination=DEGENERATE" in out
+    assert err == ""
+
+
 @settings(max_examples=50, deadline=None)
 @example(10**15, None)
 @example(4, with_value(("sim", "t_end"), HUGE))

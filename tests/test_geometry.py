@@ -73,6 +73,11 @@ class TestPolygonConstruction:
         with pytest.raises(TypeError, match="real numbers"):
             Polygon([(0, 0), bad, (0, 1)])
 
+    def test_vertices_must_be_numbers(self):
+        # numeric strings are not parsed: "1j" is text, not the point i
+        with pytest.raises(TypeError, match="vertices must be numbers"):
+            Polygon(["0", "1", "1j"])
+
     def test_vertices_are_frozen(self):
         p = UNIT_SQUARE
         with pytest.raises(ValueError):

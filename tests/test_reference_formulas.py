@@ -13,10 +13,15 @@ the one-polygon star and convexity classifiers built on it, are kept here as
 the oracle for the stacked classification.  The modal transform was once a
 pair of direct O(n^2) sums through hand-built DFT matrices, and the ellipse
 series a per-sample loop; those bodies are kept here as the oracle for the
-FFT and for the stacked residual.
+FFT and for the stacked residual.  ``run`` once stepped every flow's vertices
+in a Python loop, one step per iteration; that loop is kept here as the
+oracle for the linear flow's modal blocks (same termination, bit-equal times,
+states within a few units in the last place) and, bit for bit, for the
+stepped flows.
 """
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +36,13 @@ from polyshort.analysis import ellipse_convergence_series, perimeter_rate  # noq
 from polyshort.artifacts import read_trajectory_csv, write_trajectory_csv  # noqa: E402
 from polyshort.flows import (  # noqa: E402
     ANTIPARALLEL_TOL,
+    BisectorSpeedMode,
     CoincidentVerticesError,
     DegenerateTripleError,
+    FlowDegeneracyError,
+    FlowKind,
     FlowSpec,
+    _field_function,
     _bisector_direction,
     _bisector_field,
     _linear_field,
@@ -50,7 +59,9 @@ from polyshort.geometry import (  # noqa: E402
     _convexity_classes,
     _cross,
     _diameter,
+    _diameters,
     _dot,
+    _edge_lengths,
     _next,
     _prev,
     _simple,
@@ -67,7 +78,17 @@ from polyshort.geometry import (  # noqa: E402
     star_function,
     star_values,
 )
-from polyshort.simulate import Termination, Trajectory  # noqa: E402
+from polyshort import simulate  # noqa: E402
+from polyshort.simulate import (  # noqa: E402
+    _MODAL_BLOCK,
+    CURVATURE_STEP_FRACTION,
+    SimConfig,
+    Termination,
+    Trajectory,
+    _collapsed,
+    run,
+    step_rk4,
+)
 from polyshort.spectral import (  # noqa: E402
     FLAT_AXIS_TOL,
     LEADING_MODE_TOL,
@@ -75,6 +96,7 @@ from polyshort.spectral import (  # noqa: E402
     EllipseParams,
     SpectralDecomposition,
     _modes,
+    _rk4_gain_m1,
     closed_form_state,
     decompose,
     eigenvalues,
@@ -646,3 +668,245 @@ def test_ellipse_series_against_direct_sums(spec):
     # the residual is an RMS of O(1) terms that cancel as the shape converges,
     # so rounding is relative to the unit semi-major axis, not to the residual
     assert np.all(np.abs(got[:, 1] - expected[:, 1]) <= 1e-12 * np.maximum(expected[:, 1], 1.0))
+
+
+# ---------------------------------------------------------------------------
+# The stepped RK4 loop of ``run``, as it was before the linear flow moved to
+# modal space.  It steps the vertices through the flow's field, one Python
+# iteration per step; ``run`` must end as it does, at bit-equal times.
+
+
+def ref_rk4(z, fld, dt, k1):
+    k2 = fld(z + (0.5 * dt) * k1)
+    k3 = fld(z + (0.5 * dt) * k2)
+    k4 = fld(z + dt * k3)
+    return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def ref_run(poly, flow, cfg):
+    fld = _field_function(flow)
+    adaptive = cfg.adaptive and flow.kind is FlowKind.MENGER_MELNIKOV
+    capture = cfg.min_edge_capture if flow.kind is FlowKind.BISECTOR else 0.0
+    if capture is None:
+        capture = 1e-6 * poly.diameter()
+    z = poly.z  # only ever rebound, never written in place: rows need no copies
+    t = 0.0
+    steps = 0
+    rec_t = [0.0]
+    rec_z = [z]
+    while True:
+        if _diameter(z) < cfg.stop_diameter:
+            termination = Termination.COLLAPSED
+            break
+        if capture > 0.0 and _edge_lengths(z).min() < capture:
+            termination = Termination.CAPTURE
+            break
+        remaining = cfg.t_end - t
+        if remaining <= cfg.dt * 1e-9:
+            termination = Termination.T_END
+            break
+        if steps >= simulate.MAX_STEPS:
+            termination = Termination.MAX_STEPS
+            break
+        last = remaining <= cfg.dt
+        dt_eff = remaining if last else cfg.dt
+        try:
+            k1 = fld(z)
+            if adaptive:
+                vmax = float(np.abs(k1).max())
+                if vmax > 0.0:
+                    cap_dt = CURVATURE_STEP_FRACTION * float(_edge_lengths(z).min()) / vmax
+                    if cap_dt < dt_eff:
+                        dt_eff = cap_dt
+                        last = False
+            # a step too small to advance t means the flow is too stiff
+            z_new = None if dt_eff < 1e-15 * cfg.dt or t + dt_eff == t else ref_rk4(z, fld, dt_eff, k1)
+        except FlowDegeneracyError:
+            z_new = None
+        if z_new is None or not np.isfinite(z_new).all():
+            termination = Termination.DEGENERATE
+            break
+        z = z_new
+        t = cfg.t_end if last else t + dt_eff
+        steps += 1
+        if steps % cfg.record_every == 0:
+            rec_t.append(t)
+            rec_z.append(z)
+    if rec_t[-1] != t:
+        rec_t.append(t)
+        rec_z.append(z)
+    return Trajectory(rec_t, rec_z, termination)
+
+
+# the largest modal-against-stepped state difference allowed, in units of
+# eps * initial diameter: the two round differently (measured: at most 8.1)
+_MODAL_ULPS = 64
+
+
+def assert_same_linear_run(poly, cfg):
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = ref_run(poly, FlowSpec.linear(), cfg)
+    got = run(poly, FlowSpec.linear(), cfg)
+    assert got.termination is expected.termination
+    assert same_bits(got.times, expected.times)
+    scale = _MODAL_ULPS * _EPS * _diameter(poly.z)
+    assert np.abs(got.z - expected.z).max() <= scale
+    return got
+
+
+LINEAR_RUNS = st.tuples(
+    st.sampled_from([GeneratorKind.RANDOM_STAR, GeneratorKind.RANDOM_CONVEX]),
+    st.integers(3, 40),
+    st.integers(0, 2**32),
+    # up to 1.35: past about 1.39, RK4 is unstable on the fastest mode
+    st.floats(1e-3, 1.35),
+    # t_end in steps, not a whole number of them in general
+    st.floats(0.5, 300.0),
+    st.integers(1, 30),
+    # stop_diameter as a fraction of the initial diameter
+    st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(LINEAR_RUNS)
+def test_modal_run_against_stepped_loop(spec):
+    kind, n, seed, dt, steps, record_every, stop = spec
+    poly = generate(GeneratorSpec(kind, n=n), seed)
+    cfg = SimConfig(t_end=steps * dt, dt=dt, stop_diameter=stop * _diameter(poly.z), record_every=record_every)
+    assert_same_linear_run(poly, cfg)
+
+
+def stepped_collapse_band(poly, cfg, steps):
+    """Times, diameters and bracket radii of the oracle's first ``steps`` steps."""
+    traj = ref_run(poly, FlowSpec.linear(), replace(cfg, t_end=steps * cfg.dt, stop_diameter=0.0, record_every=1))
+    r = np.abs(traj.z - traj.z.mean(axis=1, keepdims=True)).max(axis=1)
+    return traj.times, np.array([_diameter(row) for row in traj.z]), r
+
+
+@pytest.mark.parametrize("n", [5, 12, 40])
+@pytest.mark.parametrize("offset", [0, 1])
+def test_collapse_at_a_block_boundary(n, offset):
+    # the first collapsed state is the last row of the first modal block
+    # (offset 0) or the first row of the second (offset 1); the stop lies
+    # inside the bracket band of the state before, which only the exact
+    # diameter shows to be above it
+    poly = generate(GeneratorSpec(GeneratorKind.RANDOM_STAR, n=n), 7)
+    cfg = SimConfig(t_end=1e4, dt=0.05, record_every=3)
+    k = _MODAL_BLOCK // n
+    times, d, r = stepped_collapse_band(poly, cfg, k + 2)
+    j = k + offset
+    stop = 0.5 * (d[j - 1] + d[j])
+    assert d[:j].min() > stop > d[j]
+    assert stop > r[j - 1]
+    got = assert_same_linear_run(poly, replace(cfg, stop_diameter=stop))
+    assert got.termination is Termination.COLLAPSED
+    assert got.times[-1] == times[j]
+
+
+def test_short_last_step():
+    # t_end is not a whole number of steps: the last one is short and ends at
+    # t_end exactly
+    poly = generate(GeneratorSpec(GeneratorKind.RANDOM_CONVEX, n=9), 3)
+    got = assert_same_linear_run(poly, SimConfig(t_end=1.0, dt=0.03, record_every=4))
+    assert got.termination is Termination.T_END
+    assert got.times[-1] == 1.0 and got.times[-2] < 1.0
+
+
+def test_step_cap_on_the_modal_path(monkeypatch):
+    monkeypatch.setattr(simulate, "MAX_STEPS", 3)
+    poly = generate(GeneratorSpec(GeneratorKind.RANDOM_STAR, n=7), 1)
+    got = assert_same_linear_run(poly, SimConfig(t_end=1.0, dt=0.01, stop_diameter=0.0, record_every=2))
+    assert got.termination is Termination.MAX_STEPS
+    assert len(got) == 3
+
+
+@pytest.mark.parametrize("n, dt", [(4, 2.0), (12, 3.0), (7, 2.5)])
+def test_unstable_step_degenerates_on_both_paths(n, dt):
+    # h * lambda below -2.785 makes the fastest mode grow until it overflows.
+    # The two paths round differently, so the last finite step may differ;
+    # this far past the edge the mode grows fivefold or more a step, and the
+    # difference is at most one step.
+    poly = generate(GeneratorSpec(GeneratorKind.RANDOM_STAR, n=n), 5)
+    cfg = SimConfig(t_end=1e5, dt=dt, record_every=50)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = ref_run(poly, FlowSpec.linear(), cfg)
+    got = run(poly, FlowSpec.linear(), cfg)
+    assert expected.termination is Termination.DEGENERATE
+    assert got.termination is Termination.DEGENERATE
+    assert abs(got.times[-1] - expected.times[-1]) <= dt
+
+
+@settings(deadline=None)
+@given(FFT_STACK, st.floats(1e-3, 1.4))
+def test_rk4_step_is_the_modal_gain(z, h):
+    # the public stepped map and the modal path apply one polynomial R(h lambda)
+    for row in z:
+        stepped = step_rk4(Polygon._wrap(row), FlowSpec.linear(), h).z
+        gain = 1.0 + _rk4_gain_m1(h * eigenvalues(row.size))
+        modal = np.fft.ifft(np.fft.fft(row) * gain)
+        assert np.abs(stepped - modal).max() <= 16 * _EPS * np.abs(row).max()
+
+
+@settings(deadline=None)
+@given(STACK, st.integers(0, 3), st.sampled_from(["d", "d+", "d-", "r", "2r", "zero"]))
+def test_collapse_test_is_exact(z, row, which):
+    # the bracket only narrows where the exact diameter is needed: the first
+    # row it calls collapsed is the first row with _diameter < stop; and the
+    # stacked diameters, in blocks of rows, are the per-row ones
+    row = min(row, len(z) - 1)
+    d = np.array([_diameter(x) for x in z])
+    assert same_bits(_diameters(z), d)
+    r = np.abs(z - z.mean(axis=1, keepdims=True)).max(axis=1)
+    stop = {
+        "d": d[row],
+        "d+": np.nextafter(d[row], np.inf),
+        "d-": np.nextafter(d[row], 0.0),
+        "r": r[row],
+        "2r": 2.0 * r[row],
+        "zero": 0.0,
+    }[which]
+    expected = d < stop
+    got = _collapsed(z, stop)
+    first = int(expected.argmax()) if expected.any() else len(z)
+    assert not got[:first].any()
+    assert first == len(z) or got[first]
+
+
+STEPPED_RUNS = st.tuples(
+    st.sampled_from(
+        [
+            FlowSpec.menger_melnikov(),
+            FlowSpec.bisector(),
+            FlowSpec.bisector(speed_mode=BisectorSpeedMode.NORM_MATCHED),
+        ]
+    ),
+    st.integers(3, 12),
+    st.integers(0, 2**32),
+    st.floats(1e-4, 0.02),
+    # t_end in steps
+    st.floats(0.5, 40.0),
+    st.integers(1, 5),
+    st.booleans(),
+    # stop_diameter and min_edge_capture as fractions of the initial diameter
+    st.one_of(st.just(0.0), st.floats(0.5, 1.0)),
+    st.one_of(st.none(), st.floats(1e-3, 0.3)),
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(STEPPED_RUNS)
+def test_stepped_flows_against_stepped_loop(spec):
+    # the Menger-Melnikov and bisector flows still step the vertices: bit for bit
+    flow, n, seed, dt, steps, record_every, adaptive, stop, capture = spec
+    poly = generate(GeneratorSpec(GeneratorKind.RANDOM_STAR, n=n), seed)
+    diam0 = _diameter(poly.z)
+    cfg = SimConfig(
+        t_end=steps * dt,
+        dt=dt,
+        stop_diameter=stop * diam0,
+        record_every=record_every,
+        adaptive=adaptive,
+        min_edge_capture=None if capture is None else capture * diam0,
+    )
+    assert run(poly, flow, cfg) == ref_run(poly, flow, cfg)

@@ -194,6 +194,27 @@ class TestRunLinear:
         assert traj.termination is Termination.T_END
         assert len(traj) == 4
 
+    def test_never_steps_the_vertices(self, monkeypatch):
+        # the linear flow runs in modal space; a run that fell back to
+        # stepping the vertices would call the field
+        def field(z):
+            raise AssertionError("the linear run evaluated the vertex field")
+
+        monkeypatch.setattr(flows, "_linear_field", field)
+        with pytest.raises(AssertionError):
+            step_rk4(UNIT_SQUARE, FlowSpec.linear(), 0.1)
+        cfg = SimConfig(t_end=100.0, dt=0.05, stop_diameter=1e-3, record_every=7)
+        assert run(random_polygon(3, 9), FlowSpec.linear(), cfg).termination is Termination.COLLAPSED
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n, dt", [(4, 2.0), (12, 3.0)])
+    def test_unstable_step_degenerates_without_warnings(self, n, dt):
+        # past RK4's stability edge the fastest mode overflows; no numpy
+        # RuntimeWarning (overflow, invalid value) escapes the run
+        traj = run(random_polygon(11, n), FlowSpec.linear(), SimConfig(t_end=1e5, dt=dt, record_every=10))
+        assert traj.termination is Termination.DEGENERATE
+        assert np.isfinite(traj.z).all()
+
 
 class TestRunMengerMelnikov:
     def test_diamond_diameter_law(self):
