@@ -241,10 +241,8 @@ def check_line_deviation(traj: Trajectory) -> CheckReport:
     The line runs through the initial state's farthest vertex pair.
     """
     z0 = traj.z[0]
-    d = np.abs(z0[:, None] - z0[None, :])
-    i, j = np.unravel_index(int(d.argmax()), d.shape)
+    i, j, diam0 = geometry._farthest_pair(z0)
     direction = (z0[j] - z0[i]) / abs(z0[j] - z0[i])
-    diam0 = float(d.max())
     dev = float(np.abs(((traj.z - z0[i]) * np.conj(direction)).imag).max())
     return _bound_report("line_deviation", traj, dev, 1e-9 * diam0)
 

@@ -237,6 +237,8 @@ def render_svg(traj: Trajectory, *, snapshot_times=None, mark_centroid: bool = F
     states evenly spread over the recording); each vertex's path through time
     is a dashed polyline; ``mark_centroid`` adds an asterisk at the initial
     centroid.  Identical trajectories and options yield byte-identical text.
+    Raises ``ValueError`` for an empty trajectory or one whose extent is not
+    finite.
     """
     if len(traj) == 0:
         raise ValueError("refusing to render an empty trajectory")
@@ -257,11 +259,15 @@ def render_svg(traj: Trajectory, *, snapshot_times=None, mark_centroid: bool = F
     x0, y0 = x0 - margin, y0 - margin
     w = (x1 - x0) + margin
     h = (y1 - y0) + margin
+    height = 640 * h / w
+    # states near overflow (an unstable run's last ones) have no finite canvas
+    if not np.isfinite([x0, y0, w, h, height]).all():
+        raise ValueError("the trajectory's extent is not finite at drawing scale; it cannot be drawn")
     stroke = 0.006 * span
     dash = _svg_num(2.0 * stroke)
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{_svg_num(x0)} {_svg_num(y0)}'
-        f' {_svg_num(w)} {_svg_num(h)}" width="640" height="{int(round(640 * h / w))}">'
+        f' {_svg_num(w)} {_svg_num(h)}" width="640" height="{int(round(height))}">'
     ]
     out.append('<g id="vertex-paths">')
     for path in traj.z.T:

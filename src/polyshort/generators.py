@@ -71,7 +71,8 @@ class GeneratorKind(enum.Enum):
 _FIXTURE_KINDS = (GeneratorKind.BOOMERANG, GeneratorKind.EMBEDDED_LOSS)
 
 # Vertex counts from outside the program (generator n, scenario vertex list, CSV
-# header, spectrum --n) lie in [3, MAX_VERTICES]: this bounds the n x n diameter.
+# header, spectrum --n) lie in [3, MAX_VERTICES]: this bounds the n x n diameter
+# of Polygon.diameter and of the rows whose diameter bracket decides nothing.
 MAX_VERTICES = 1000
 
 
@@ -199,7 +200,8 @@ def _collinear(n: int, rng: SplitMix64) -> Polygon:
         poly = Polygon(base + xs * direction)
         # postcondition: perpendicular spread is rounding noise only
         offs = (poly.z - base) * np.conj(direction)
-        if np.abs(offs.imag).max() <= geometry.PREDICATE_TOL * poly.diameter():
+        spread = np.abs(offs.imag).max()
+        if geometry._by_diameter(poly.z[None], lambda d: spread <= geometry.PREDICATE_TOL * d)[0]:
             return poly
     raise GenerationFailedError("no collinear candidate satisfied the line test")
 

@@ -58,6 +58,10 @@ _TWO_PI = 2.0 * np.pi
 # alone has more.
 _DISTANCE_BLOCK = 4096
 
+# _by_diameter widens its bracket by this times (r + n max|z|): more than the
+# rounding of the centroid, of r and of the diameter can move either side.
+_BRACKET_ULPS = 16.0 * np.finfo(np.float64).eps
+
 
 def _as_complex_vertices(vertices) -> np.ndarray:
     arr = np.asarray(vertices)
@@ -141,9 +145,15 @@ class Polygon:
         return f"Polygon(n={self.n}, diameter={self.diameter():.6g})"
 
 
-def _diameter(z: np.ndarray) -> float:
+def _farthest_pair(z: np.ndarray):
+    """``(i, j, |z_j - z_i|)`` for the first farthest vertex pair of the circuit ``z``."""
     d = np.abs(z[:, None] - z[None, :])
-    return float(d.max())
+    i, j = np.unravel_index(int(d.argmax()), d.shape)
+    return int(i), int(j), float(d[i, j])
+
+
+def _diameter(z: np.ndarray) -> float:
+    return _farthest_pair(z)[2]
 
 
 def _diameters(z: np.ndarray) -> np.ndarray:
@@ -156,6 +166,32 @@ def _diameters(z: np.ndarray) -> np.ndarray:
     for i in range(0, len(z), rows):
         block = z[i : i + rows]
         out[i : i + rows] = np.abs(block[:, :, None] - block[:, None, :]).max(axis=(-2, -1))
+    return out
+
+
+def _by_diameter(z: np.ndarray, test):
+    """``test(_diameters(z))`` for the ``(S, n)`` stack ``z``, with few exact diameters.
+
+    ``test`` maps an ``(S,)`` array of diameters to booleans of shape ``(S,)``
+    or ``(S, k)``, each monotone in its row's diameter.  With r = max|z - g|
+    about the centroid g, r <= diameter <= 2 r.  The test runs at both ends of
+    this bracket, widened by a rounding margin, and only the rows where the
+    two answers differ, or the bracket is NaN, get the exact diameter.
+    """
+    n = z.shape[-1]
+    r = np.abs(z - z.sum(axis=-1, keepdims=True) / n).max(axis=-1)
+    margin = _BRACKET_ULPS * (r + n * np.abs(z).max(axis=-1))
+    # clipped at 0: a test of d**2 is monotone only for d >= 0; lo is NaN
+    # wherever hi is
+    lo, hi = np.maximum(r - margin, 0.0), 2.0 * r + margin
+    out = test(hi)
+    differ = out != test(lo)
+    if differ.ndim > 1:
+        differ = differ.any(axis=-1)
+    unsure = differ | np.isnan(lo)
+    if unsure.any():
+        hi[unsure] = _diameters(z[unsure])
+        out = test(hi)
     return out
 
 
@@ -299,7 +335,8 @@ def _star_classes(z: np.ndarray):
     f = _star_values(z)
     alpha = np.arctan2(f, _dot(w, _next(w)))
     total = alpha.sum(axis=-1)
-    radii_ok = (r > PREDICATE_TOL * _diameters(z)[:, None]).all(axis=-1)
+    r_min = r.min(axis=-1)
+    radii_ok = _by_diameter(z, lambda d: r_min > PREDICATE_TOL * d)
     ccw = radii_ok & (alpha > 0.0).all(axis=-1) & (np.abs(total - _TWO_PI) <= ANGLE_SUM_TOL)
     cw = radii_ok & (alpha < 0.0).all(axis=-1) & (np.abs(total + _TWO_PI) <= ANGLE_SUM_TOL)
     return _STAR_TAGS[ccw + 2 * cw], alpha, r, f
@@ -359,9 +396,14 @@ def _convexity_classes(z: np.ndarray):
     h = np.where(cw, _cross(u, w), _cross(w, u))
     beta = np.arctan2(h, _dot(u, w))
     beta = np.where(beta < 0.0, beta + _TWO_PI, beta)
-    tol = (PREDICATE_TOL * _diameters(z) ** 2)[:, None]
-    strict = (h > tol).all(axis=-1)
-    convex = (h >= -tol).all(axis=-1) & (h > tol).any(axis=-1)
+    h_min, h_max = h.min(axis=-1), h.max(axis=-1)
+
+    def tests(d):
+        tol = PREDICATE_TOL * d**2
+        return np.stack((h_min > tol, h_min >= -tol, h_max > tol), axis=-1)
+
+    strict, no_reflex, some_turn = _by_diameter(z, tests).T
+    convex = no_reflex & some_turn
     convex[convex] = _simple(z[convex])
     return _CONVEXITY_TAGS[convex * (1 + strict)], beta, h
 

@@ -48,10 +48,6 @@ MAX_STEPS = 10**6
 _MODAL_BLOCK = 4096
 _STEP_BLOCK = 8
 
-# The collapse test widens its bracket by this times (r + n max|z|): more than
-# the rounding of the centroid, of r and of the diameter can move either side.
-_BRACKET_ULPS = 16.0 * np.finfo(np.float64).eps
-
 
 class Termination(enum.Enum):
     T_END = "t_end"
@@ -264,30 +260,35 @@ def _modal_states(z: np.ndarray, cfg: SimConfig):
 
 def _collapsed(z: np.ndarray, stop: float) -> np.ndarray:
     # geometry._diameter(row) < stop for each row of the (k, n) stack z, decided
-    # exactly.  With r = max|z - g| about the centroid g, r <= diameter <= 2 r.
-    # Only the rows whose bracket, widened by a rounding margin, straddles stop
-    # (or is NaN), and that come before the first row surely below it, get
-    # the diameter.
-    n = z.shape[-1]
-    r = np.abs(z - z.sum(axis=-1, keepdims=True) / n).max(axis=-1)
-    margin = _BRACKET_ULPS * (r + n * np.abs(z).max(axis=-1))
-    out = 2.0 * r + margin < stop
-    first = int(out.argmax()) if out.any() else out.size
-    unsure = np.flatnonzero(~(r[:first] - margin[:first] >= stop))
-    if unsure.size:
-        out[unsure] = geometry._diameters(z[unsure]) < stop
-    return out
+    # exactly; only rows whose diameter bracket straddles stop get the diameter
+    return geometry._by_diameter(z, lambda d: d < stop)
 
 
-def _first_stop(z: np.ndarray, ts: np.ndarray, steps: int, cfg: SimConfig, capture: float):
+def _capture_test(poly: Polygon, flow: FlowSpec, cfg: SimConfig):
+    # For the bisector flow, the function that tells which shortest edges of a
+    # block are below the capture threshold; None for the other flows.  The
+    # default threshold, 1e-6 times the initial diameter, is decided against
+    # the initial polygon's diameter bracket, and its exact diameter is taken
+    # only for a block with an edge inside the band.
+    if flow.kind is not FlowKind.BISECTOR:
+        return None
+    capture = cfg.min_edge_capture
+    if capture is not None:
+        return lambda e: e < capture
+    z0 = poly.z[None]
+    return lambda e: geometry._by_diameter(z0, lambda d: e < 1e-6 * d[:, None])[0]
+
+
+def _first_stop(z: np.ndarray, ts: np.ndarray, steps: int, cfg: SimConfig, captured):
     # The first row of the (k, n) stack z at which the run stops, and why; or
     # (k, None).  Row i is the state at time ts[i] after steps + i steps.  At
-    # one state the rules go in the order collapse, capture, end of time,
-    # MAX_STEPS (read at call time, so a patched cap holds).
+    # one state the rules go in the order collapse, capture (if captured, from
+    # _capture_test, is not None), end of time, MAX_STEPS (read at call time,
+    # so a patched cap holds).
     k = ts.size
     rules = [(Termination.COLLAPSED, _collapsed(z, cfg.stop_diameter))]
-    if capture > 0.0:
-        rules.append((Termination.CAPTURE, geometry._edge_lengths(z).min(axis=-1) < capture))
+    if captured is not None:
+        rules.append((Termination.CAPTURE, captured(geometry._edge_lengths(z).min(axis=-1))))
     rules.append((Termination.T_END, ~_time_left(ts, cfg)))
     i = min([int(hit.argmax()) for _, hit in rules if hit.any()] + [max(MAX_STEPS - steps, 0), k])
     if i == k:
@@ -304,11 +305,11 @@ def run(poly: Polygon, flow: FlowSpec, cfg: SimConfig) -> Trajectory:
     degeneracy, a non-finite step result or a step too small to advance the
     time ends the run with termination DEGENERATE at the last valid state.
     The linear flow takes its RK4 steps per Fourier mode, a block of them at
-    a time; the other flows step the vertices.
+    a time; the other flows step the vertices.  The collapse test and the
+    default capture threshold use the diameter only where its O(n) bracket
+    cannot decide them (see ``geometry._by_diameter``).
     """
-    capture = cfg.min_edge_capture if flow.kind is FlowKind.BISECTOR else 0.0
-    if capture is None:
-        capture = 1e-6 * poly.diameter()
+    captured = _capture_test(poly, flow, cfg)
     blocks = _modal_states(poly.z, cfg) if flow.kind is FlowKind.LINEAR else _stepped_states(poly.z, flow, cfg)
     # the current block of states: row i is the state after steps + i steps
     ts, z, steps = np.zeros(1), poly.z[None], 0
@@ -319,7 +320,7 @@ def run(poly: Polygon, flow: FlowSpec, cfg: SimConfig) -> Trajectory:
         while True:
             finite = np.isfinite(z).all(axis=-1)
             valid = finite.size if finite.all() else int(finite.argmin())
-            i, termination = _first_stop(z[:valid], ts[:valid], steps, cfg, capture)
+            i, termination = _first_stop(z[:valid], ts[:valid], steps, cfg, captured)
             reached = i if termination is None else i + 1
             if termination is None and valid < finite.size:
                 termination = Termination.DEGENERATE

@@ -164,6 +164,20 @@ class TestCheckStarPreservation:
         assert rep.first_violation_time == traj.times[1]
         assert rep.worst_margin <= 0.0
 
+    def test_menger_melnikov_counterexample(self):
+        # the Menger-Melnikov flow does not keep every star a star: this
+        # random 256-gon loses star shape about its centroid at t = 1.469e-3
+        # (about 1.460e-3 under step refinement), while its perimeter decreases
+        poly = generate(GeneratorSpec(GeneratorKind.RANDOM_STAR, n=256), 11)
+        traj = run(poly, FlowSpec.menger_melnikov(), SimConfig(t_end=2e-3, dt=1e-4))
+        assert traj.termination is Termination.T_END
+        assert traj.z.shape == (114, 256)
+        rep = check_star_preservation(traj)
+        assert not rep.passed
+        assert rep.first_violation_time == pytest.approx(1.469108e-3, rel=1e-6)
+        assert rep.worst_margin == pytest.approx(-8.301e-4, rel=1e-3)
+        assert check_perimeter_monotone(traj).passed
+
     def test_non_star_start_rejected(self):
         collinear = Polygon([0.0, 1.0, 3.0, 2.0])
         traj = make_traj([collinear])

@@ -165,6 +165,20 @@ def test_simulate_unstable_step_writes_no_warning(tmp_path):
     assert err == ""
 
 
+@pytest.mark.filterwarnings("error")
+def test_simulate_unstable_step_svg_is_one_error_line(tmp_path):
+    # the same run's last states are near 1e308: no finite SVG canvas holds them
+    doc = with_value(("polygon", "vertices"), [[0, 0], [2, 0], [1, 1], [0, 1]])
+    doc["sim"] = {"t_end": 1e4, "dt": 2.0, "record_every": 100}
+    doc["outputs"] = ["svg"]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = cli(["simulate", "--scenario", path, "--out-dir", tmp_path])
+    assert code == 2
+    assert_clean(code, err)
+    assert "not finite" in err
+
+
 @settings(max_examples=50, deadline=None)
 @example(10**15, None)
 @example(4, with_value(("sim", "t_end"), HUGE))

@@ -78,7 +78,7 @@ from polyshort.geometry import (  # noqa: E402
     star_function,
     star_values,
 )
-from polyshort import simulate  # noqa: E402
+from polyshort import geometry, simulate  # noqa: E402
 from polyshort.simulate import (  # noqa: E402
     _MODAL_BLOCK,
     CURVATURE_STEP_FRACTION,
@@ -871,6 +871,99 @@ def test_collapse_test_is_exact(z, row, which):
     first = int(expected.argmax()) if expected.any() else len(z)
     assert not got[:first].any()
     assert first == len(z) or got[first]
+
+
+# Every tolerance built from the diameter is decided from the O(n) bracket
+# r <= diameter <= 2 r, and the exact n x n diameter is taken only for rows
+# the bracket cannot settle.  The rows below sit at the tolerance itself and
+# one double either side of it, where only the exact diameter decides; they
+# must get the verdicts of the oracles above, which take _diameter of every
+# row.
+
+
+@pytest.fixture
+def exact_rows(monkeypatch):
+    """The row count of each call to geometry._diameters during the test."""
+    calls = []
+    diameters = geometry._diameters
+
+    def counted(z):
+        calls.append(len(z))
+        return diameters(z)
+
+    monkeypatch.setattr(geometry, "_diameters", counted)
+    return calls
+
+
+def one_either_side(x):
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+def test_star_radius_band(exact_rows):
+    # the centroid is exactly 0, the diameter |1j - (-1j)| exactly 2, and the
+    # two vertices on the real axis lie PREDICATE_TOL * 2 from the centroid,
+    # or one double nearer or farther
+    radii = one_either_side(PREDICATE_TOL * 2.0)
+    z = np.array([[e, 1j, -e, -1j] for e in radii])
+    tags, alpha, r, _ = _star_classes(z)
+    assert exact_rows == [3]
+    for row, tag, a, rr, e in zip(z, tags, alpha, r, radii):
+        ref_tag, ref_alpha, ref_r = ref_classify_star(row)
+        assert _diameter(row) == 2.0 and ref_r.min() == e
+        assert tag is ref_tag and same_bits(a, ref_alpha) and same_bits(rr, ref_r)
+    assert list(tags) == [StarTag.NOT_STAR, StarTag.NOT_STAR, StarTag.CCW_STAR]
+
+
+def test_convexity_h_band(exact_rows):
+    # a counterclockwise quadrilateral of diameter |1 - (-1)| = 2 whose
+    # bottom vertex -1j * h / 2 has H value h exactly: h at -PREDICATE_TOL * 4
+    # and at PREDICATE_TOL * 4, and one double either side of each
+    tol = PREDICATE_TOL * 4.0
+    hs = one_either_side(-tol) + one_either_side(tol)
+    z = np.array([[-1.0, complex(0.0, -0.5 * h), 1.0, 1j] for h in hs])
+    tags, beta, h = _convexity_classes(z)
+    assert exact_rows == [6]
+    for row, tag, b, hh, want in zip(z, tags, beta, h, hs):
+        ref_tag, ref_beta, ref_h = ref_classify_convexity(row)
+        assert _diameter(row) == 2.0 and ref_h.min() == want
+        assert tag is ref_tag and same_bits(b, ref_beta) and same_bits(hh, ref_h)
+    C = ConvexityTag
+    assert list(tags) == [C.NOT_CONVEX, C.CONVEX, C.CONVEX, C.CONVEX, C.CONVEX, C.STRICTLY_CONVEX]
+
+
+@pytest.mark.parametrize("side", range(3))
+def test_default_capture_band(exact_rows, side):
+    # a convex pentagon of diameter |-1 - 1| = 2 whose shortest edge, from
+    # -0.5j to e - 0.5j, is e long: the default capture threshold 1e-6 * 2,
+    # or one double shorter or longer
+    e = one_either_side(1e-6 * 2.0)[side]
+    poly = Polygon([-1.0, -0.5j, e - 0.5j, 1.0, 1j])
+    assert poly.diameter() == 2.0 and poly.min_edge() == e
+    flow = FlowSpec.bisector()
+    cfg = SimConfig(t_end=0.05, dt=1e-3)
+    got = run(poly, flow, cfg)
+    assert exact_rows and set(exact_rows) == {1}
+    assert got == ref_run(poly, flow, cfg)
+    # captured at once below the threshold; otherwise the bisectors at the
+    # short edge diverge and it grows
+    if side == 0:
+        assert got.termination is Termination.CAPTURE and len(got) == 1
+    else:
+        assert got.termination is Termination.T_END
+
+
+def test_well_separated_rows_need_no_exact_diameter(monkeypatch):
+    def refuse(z):
+        raise AssertionError("the bracket settles every row here")
+
+    monkeypatch.setattr(geometry, "_diameters", refuse)
+    ring = np.exp(2j * np.pi * np.arange(1000) / 1000)
+    z = np.array([ring, 3.0 * ring + (2.0 - 1.0j)])
+    assert all(tag is StarTag.CCW_STAR for tag in _star_classes(z)[0])
+    assert all(tag is ConvexityTag.STRICTLY_CONVEX for tag in _convexity_classes(z)[0])
+    poly = generate(GeneratorSpec(GeneratorKind.RANDOM_STAR, n=12), 3)
+    traj = run(poly, FlowSpec.bisector(), SimConfig(t_end=0.05, dt=1e-3))
+    assert traj.termination is Termination.T_END
 
 
 STEPPED_RUNS = st.tuples(
