@@ -10,8 +10,9 @@ SVG and summary JSON of ``simulate`` on five scenarios (an adaptive
 Menger-Melnikov run of a generator polygon, a Menger-Melnikov run of a
 polygon with a straight vertex, a UNIT-speed bisector run, a densely recorded
 linear run of a convex polygon and a linear run of the ``embedded_loss``
-fixture), and the ``analyze`` report JSON of every check on ``fig8.csv`` and
-on the CSV of every scenario but the two straight-vertex and bisector ones,
+fixture), the CSV and summary JSON of the Menger-Melnikov run of the seed-11
+256-gon that stops being a star, and the ``analyze`` report JSON of every
+check on ``fig8.csv`` and on the CSV of the first, fourth and fifth scenario,
 then prints ``<sha256>  <file>`` for each file in name order.  Run it before
 and after a change and diff the two outputs: any difference is a changed
 artifact.
@@ -89,6 +90,16 @@ _SCENARIOS = [
         "flow": {"kind": "linear"},
         "sim": {"t_end": 1.5, "dt": 1e-3, "record_every": 10},
         "outputs": _OUTPUTS,
+    },
+    # the Menger-Melnikov flow does not keep every star a star: this 256-gon
+    # stops being one about its centroid at t = 1.469e-3
+    {
+        "name": "mm_star_loss",
+        "polygon": {"generator": {"kind": "random_star", "n": 256}},
+        "flow": {"kind": "menger_melnikov"},
+        "sim": {"t_end": 2e-3, "dt": 1e-4},
+        "seed": 11,
+        "outputs": ["csv", "report_json"],
     },
 ]
 

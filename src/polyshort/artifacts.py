@@ -171,7 +171,8 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     # a complex row viewed as floats is x1, y1, ..., xn, yn
     table = np.column_stack([traj.times, traj.z.view(np.float64)] + [getattr(traj, a) for a in _CSV_COLUMNS.values()])
     lines = [",".join(cols + list(_CSV_COLUMNS))]
-    lines += [",".join(map(_fmt, row)) for row in table.tolist()]
+    row_format = ",".join(["%.17g"] * table.shape[1])
+    lines += [row_format % tuple(row) for row in table.tolist()]
     lines.append(f"# termination={traj.termination.name}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

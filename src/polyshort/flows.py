@@ -6,8 +6,10 @@ Three flows are provided, each assigning one velocity per vertex:
   of the vertex vector (each vertex chases the midpoint of its neighbors).
 * Menger-Melnikov: ``v_i = (C_i - z_i) / R_i**2`` where ``C_i`` and ``R_i``
   are the center and radius of the circle through ``z_{i-1}, z_i, z_{i+1}``;
-  the magnitude is the Menger curvature ``1/R_i``.  A collinear triple has
-  zero curvature and contributes zero velocity.
+  the magnitude is the Menger curvature ``1/R_i``.  It equals
+  ``1 / conj(C_i - z_i)``, which is evaluated in closed form, with no center
+  and no radius.  A collinear triple has zero curvature and contributes zero
+  velocity.
 * bisector: motion along the internal angle bisector at each vertex, the
   direction that locally shrinks the perimeter fastest for a given speed.
   ``d_i`` is the sum of the two unit edge vectors out of ``z_i``; UNIT mode
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Polygon, _circumcircles, _next, _prev
+from .geometry import Polygon, _circumcircle_terms, _next, _prev
 
 __all__ = [
     "FlowKind",
@@ -136,19 +138,18 @@ def _menger_melnikov_field(z: np.ndarray) -> np.ndarray:
     zn = _next(z)
     if np.any(zp == z) or np.any(zp == zn):
         raise DegenerateTripleError("coincident points in a curvature triple")
-    center, radius, ok = _circumcircles(zp, z, zn)
+    num, cross, ok = _circumcircle_terms(zp, z, zn)
     # collinear triples keep velocity 0 and are never divided
-    return np.divide(center - z, radius * radius, out=np.zeros_like(z), where=ok)
+    return np.divide(-2j * cross, num.conj(), out=np.zeros_like(z), where=ok)
 
 
 def _bisector_direction(z: np.ndarray) -> np.ndarray:
-    e_prev = _prev(z) - z
     e_next = _next(z) - z
-    lp = np.abs(e_prev)
     ln = np.abs(e_next)
-    if np.any(lp == 0.0) or np.any(ln == 0.0):
+    if np.any(ln == 0.0):
         raise CoincidentVerticesError("zero-length edge")
-    return e_prev / lp + e_next / ln
+    # _prev(z) - z, not -_prev(e_next): the negation would flip signed zeros
+    return (_prev(z) - z) / _prev(ln) + e_next / ln
 
 
 def _bisector_field(z: np.ndarray, spec: FlowSpec) -> np.ndarray:

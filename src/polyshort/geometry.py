@@ -509,35 +509,20 @@ def _hypot(u):
     return np.hypot(u.real, u.imag)
 
 
-def _circumcircles(a, b, c):
-    """Elementwise ``(center, radius, ok)`` of the circles through ``(a, b, c)``.
+def _circumcircle_terms(a, b, c):
+    """Elementwise ``(num, cross, ok)`` for the circles through ``(a, b, c)``.
 
-    ``ok`` is False where :func:`circumcircle` finds the triple collinear;
-    there ``center`` and ``radius`` are 0 and nothing was divided.
+    With u = a - b and w = c - b, ``num`` = |u|^2 w - |w|^2 u and ``cross`` =
+    Im{conj(u) * w}; the center is b + num / (2i cross), so (center - b) / R^2
+    = 1 / conj(center - b) = -2i cross / conj(num).  ``ok`` is False where
+    :func:`circumcircle` finds the triple collinear; callers divide only where
+    it is True.
     """
-    a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
-    scale = np.maximum(np.maximum(_hypot(a - b), _hypot(b - c)), _hypot(a - c))
-    ok = ~((scale == 0.0) | (np.abs(_cross(a - b, c - b)) <= PREDICATE_TOL * scale * scale))
-    center = np.zeros(ok.shape, dtype=np.complex128)
-    radius = np.zeros(ok.shape)
-    a, b, c = a[ok], b[ok], c[ok]
-    # shift to the triple's mean so the quadratic terms stay well conditioned
-    shift = a + b + c
-    sx, sy = shift.real / 3.0, shift.imag / 3.0
-    x1, y1 = a.real - sx, a.imag - sy
-    x2, y2 = b.real - sx, b.imag - sy
-    x3, y3 = c.real - sx, c.imag - sy
-    d = 2.0 * (x1 * (y2 - y3) + x2 * (y3 - y1) + x3 * (y1 - y2))
-    s1 = x1 * x1 + y1 * y1
-    s2 = x2 * x2 + y2 * y2
-    s3 = x3 * x3 + y3 * y3
-    cx = (s1 * (y2 - y3) + s2 * (y3 - y1) + s3 * (y1 - y2)) / d + sx
-    cy = (s1 * (x3 - x2) + s2 * (x1 - x3) + s3 * (x2 - x1)) / d + sy
-    center.real[ok] = cx
-    center.imag[ok] = cy
-    cc = center[ok]
-    radius[ok] = (_hypot(cc - a) + _hypot(cc - b) + _hypot(cc - c)) / 3.0
-    return center, radius, ok
+    u, w = a - b, c - b
+    cross = _cross(u, w)
+    scale = np.maximum(np.maximum(_hypot(u), _hypot(w)), _hypot(a - c))
+    ok = ~((scale == 0.0) | (np.abs(cross) <= PREDICATE_TOL * scale * scale))
+    return _dot(u, u) * w - _dot(w, w) * u, cross, ok
 
 
 def circumcircle(a: complex, b: complex, c: complex):
@@ -548,5 +533,9 @@ def circumcircle(a: complex, b: complex, c: complex):
     points included), in which case the circle degenerates to a line and
     ``None`` is returned.
     """
-    center, radius, ok = _circumcircles(complex(a), complex(b), complex(c))
-    return Circumcircle(center=complex(center), radius=float(radius)) if ok else None
+    b = complex(b)
+    num, cross, ok = _circumcircle_terms(complex(a), b, complex(c))
+    if not ok:
+        return None
+    offset = num / (2j * cross)
+    return Circumcircle(center=b + offset, radius=abs(offset))

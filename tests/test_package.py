@@ -45,11 +45,22 @@ def test_top_level_keeps_every_name_and_gains_the_undeclared_ones():
     assert gained <= set(polyshort.__all__)
 
 
+def _env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+
+
 def test_import_does_not_load_the_cli():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     code = "import sys, polyshort; print('polyshort.cli' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_runs_as_a_module():
+    argv = [sys.executable, "-m", "polyshort.cli", "validate", "--ensemble-size", "1"]
+    out = subprocess.run(argv, env=_env(), capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.rstrip().rpartition("\n")[2].startswith("validate: all checks passed")
+    assert out.stderr == ""
 
 
 def test_console_script_names_the_cli(capsys):

@@ -112,9 +112,10 @@ class TestStepRk4:
             step_rk4(UNIT_SQUARE, FlowSpec.linear(), -0.1)
 
     def test_degeneracy_propagates(self):
-        # dt = 2 sends the whole triangle to its centroid at the half step
+        # v = -z exactly on the diamond, so dt = 2 sends the whole polygon
+        # to its centroid at the half step
         with pytest.raises(DegenerateTripleError):
-            step_rk4(regular_ngon(3), FlowSpec.menger_melnikov(), 2.0)
+            step_rk4(DIAMOND, FlowSpec.menger_melnikov(), 2.0)
 
 
 class TestRunLinear:
@@ -231,7 +232,7 @@ class TestRunMengerMelnikov:
         assert abs(traj.times[-1] - 0.5) <= 1e-3
 
     def test_huge_fixed_step_degenerates(self):
-        traj = run(regular_ngon(3), FlowSpec.menger_melnikov(), SimConfig(t_end=4.0, dt=2.0, adaptive=False))
+        traj = run(DIAMOND, FlowSpec.menger_melnikov(), SimConfig(t_end=4.0, dt=2.0, adaptive=False))
         assert traj.termination is Termination.DEGENERATE
         assert len(traj) == 1
 
