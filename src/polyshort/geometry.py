@@ -387,7 +387,8 @@ def _convexity_classes(z: np.ndarray):
 
     Returns ``(tags, internal_angles, h_values)``, an object array and two
     ``(S, n)`` arrays, as :func:`classify_convexity` reports them for one row.
-    Only rows whose H values allow convexity go to :func:`_simple`, in one call.
+    O(n) per row, with no side-pair test: no backward turn, no fold and one full
+    turn, ``sum(pi - beta) = 2*pi``, make a circuit convex and hence simple.
     """
     u = _prev(z) - z
     w = _next(z) - z
@@ -403,19 +404,20 @@ def _convexity_classes(z: np.ndarray):
         return np.stack((h_min > tol, h_min >= -tol, h_max > tol), axis=-1)
 
     strict, no_reflex, some_turn = _by_diameter(z, tests).T
-    convex = no_reflex & some_turn
-    convex[convex] = _simple(z[convex])
+    once = np.abs((np.pi - beta).sum(axis=-1) - _TWO_PI) <= ANGLE_SUM_TOL
+    convex = no_reflex & some_turn & once & ~_folds(u, w).any(axis=-1)
     return _CONVEXITY_TAGS[convex * (1 + strict)], beta, h
 
 
 def classify_convexity(poly: Polygon) -> ConvexityClass:
     """Classify convexity of the circuit, independent of numbering direction.
 
-    ``STRICTLY_CONVEX``: simple, and every oriented H value strictly positive
-    (every internal angle strictly between 0 and pi).  ``CONVEX`` additionally
-    admits straight vertices (H = 0 within tolerance) provided not all vertices
-    are straight.  Everything else, including non-simple circuits, is
-    ``NOT_CONVEX``.
+    ``STRICTLY_CONVEX``: every oriented H value above ``PREDICATE_TOL`` times the
+    squared diameter, no fold, and turns ``pi - beta`` adding up to one full turn:
+    exactly convex and simple.  ``CONVEX`` also admits straight vertices (H = 0
+    within that band) provided not all are straight; it resolves nothing smaller
+    than the band, so it may accept what :func:`is_simple` rejects.  Everything
+    else, including a circuit that turns more than once, is ``NOT_CONVEX``.
     """
     tags, beta, h = _convexity_classes(poly.z[None])
     return ConvexityClass(tag=tags[0], internal_angles=beta[0], h_values=h[0])
@@ -429,22 +431,28 @@ def _l1(u):
     return np.abs(u.real) + np.abs(u.imag)
 
 
+def _folds(u, w):
+    """Elementwise: do the sides ``u`` and ``w`` from a vertex leave it one way (a fold)?"""
+    scale = np.maximum(_l1(u), _l1(w))
+    return (np.abs(_cross(u, w)) <= PREDICATE_TOL * scale * scale) & (_dot(u, w) > 0.0)
+
+
 def _sides_meet(a, b, c, d):
     """Elementwise: does side ``(a, b)`` meet side ``(c, d)``?
 
-    Orientation values within ``PREDICATE_TOL`` times the squared L1 scale of
-    the pair count as collinear; a collinear endpoint meets the other side when
-    it lies in that side's bounding box grown by ``PREDICATE_TOL`` times the scale.
+    An endpoint is on a side's line when |cross| <= ``tol_len`` * L1(side), a distance
+    of at most sqrt(2) ``tol_len`` (``tol_len`` = ``PREDICATE_TOL`` * the pair's L1 scale),
+    and meets the side when inside the side's bounding box grown by ``tol_len``.
     """
     ab, ac, ad = b - a, c - a, d - a
     cd, ca, cb = d - c, a - c, b - c
-    scale = np.maximum(np.maximum(_l1(ab), _l1(cd)), np.maximum(_l1(ac), _l1(ad)))
-    tol_len = PREDICATE_TOL * scale
-    tol_cross = tol_len * scale
-    # orientation of an endpoint against the other side: +1, -1, or 0 within tol_cross
+    l1_ab, l1_cd = _l1(ab), _l1(cd)
+    tol_len = PREDICATE_TOL * np.maximum(np.maximum(l1_ab, l1_cd), np.maximum(_l1(ac), _l1(ad)))
+    tol_ab, tol_cd = tol_len * l1_ab, tol_len * l1_cd
+    # orientation of an endpoint against the other side: +1, -1, or 0 within the band
     o1, o2, o3, o4 = (
-        (v > tol_cross).astype(np.int8) - (v < -tol_cross)
-        for v in (_cross(ab, ac), _cross(ab, ad), _cross(cd, ca), _cross(cd, cb))
+        (v > t).astype(np.int8) - (v < -t)
+        for v, t in zip((_cross(ab, ac), _cross(ab, ad), _cross(cd, ca), _cross(cd, cb)), (tol_ab, tol_ab, tol_cd, tol_cd))
     )
     meet = (o1 != o2) & (o3 != o4)
     for o, p, q, r in ((o1, a, b, c), (o2, a, b, d), (o3, c, d, a), (o4, c, d, b)):
@@ -460,12 +468,7 @@ def _sides_meet(a, b, c, d):
 def _simple(z: np.ndarray) -> np.ndarray:
     """Per row of the ``(S, n)`` stack ``z``: is that circuit simple (see :func:`is_simple`)?"""
     zn = _next(z)
-    u = _prev(z) - z
-    w = zn - z
-    scale = np.maximum(_l1(u), _l1(w))
-    # a side doubling back over its neighbor: both sides leave a vertex one way
-    folds = (np.abs(_cross(u, w)) <= PREDICATE_TOL * scale * scale) & (_dot(u, w) > 0.0)
-    simple = ~folds.any(axis=-1)
+    simple = ~_folds(_prev(z) - z, zn - z).any(axis=-1)
     # side k runs from vertex k to k+1; test the pairs i < j that share no vertex
     n = z.shape[-1]
     k = np.arange(n)

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from polyshort import geometry
-from polyshort.generators import _BOOMERANG_VERTICES, _EMBEDDED_LOSS_VERTICES
+from polyshort.generators import (
+    _BOOMERANG_VERTICES,
+    _EMBEDDED_LOSS_VERTICES,
+    GeneratorKind,
+    GeneratorSpec,
+    generate,
+)
 from polyshort.geometry import (
     ConvexityTag,
     Polygon,
@@ -246,22 +252,40 @@ class TestClassifyConvexity:
         assert res.tag is ConvexityTag.NOT_CONVEX
         assert np.min(res.h_values) < 0
 
-    def test_pentagram_checks_simplicity_once(self, monkeypatch):
-        # every H value is positive, so only the simplicity test rules it out
-        calls = []
+    def test_convexity_tests_no_side_pair(self, monkeypatch):
+        # local turns, folds and one full turn decide; the side-pair test never runs
+        def no_pair_test(z):
+            raise AssertionError("classify_convexity called _simple")
 
-        simple = geometry._simple
+        monkeypatch.setattr(geometry, "_simple", no_pair_test)
+        # every H value is positive, but the turns add up to 4*pi
+        pentagram = classify_convexity(Polygon(np.exp(4j * np.pi * np.arange(5) / 5)))
+        assert pentagram.tag is ConvexityTag.NOT_CONVEX
+        assert np.all(pentagram.h_values > 0.0)
+        assert np.sum(np.pi - pentagram.internal_angles) == pytest.approx(4 * np.pi)
+        # a spike cut into the unit square whose sides fold back 1e-13 apart: it
+        # turns once and its H values stay in the band, so only the fold rules it out
+        spike = classify_convexity(Polygon([0, 0.5, 0.5 + 0.5j, 0.5 + 1e-13, 1, 1 + 1j, 1j]))
+        assert spike.tag is ConvexityTag.NOT_CONVEX
+        assert np.sum(np.pi - spike.internal_angles) == pytest.approx(2 * np.pi)
+        assert np.all(spike.h_values >= -geometry.PREDICATE_TOL * 2.0)  # diameter**2 = 2
+        # the linear_ensemble flat6 item: a convex pentagon with one side split
+        z = generate(GeneratorSpec(GeneratorKind.RANDOM_CONVEX, n=5), 1205).z
+        flat6 = Polygon(np.insert(z, 1, 0.5 * (z[0] + z[1])))
+        assert classify_convexity(flat6).tag is ConvexityTag.CONVEX
 
-        def counting_simple(z):
-            calls.append(z)
-            return simple(z)
-
-        monkeypatch.setattr(geometry, "_simple", counting_simple)
-        pentagram = Polygon(np.exp(4j * np.pi * np.arange(5) / 5))
-        res = classify_convexity(pentagram)
-        assert res.tag is ConvexityTag.NOT_CONVEX
-        assert np.all(res.h_values > 0.0)
-        assert len(calls) == 1
+    def test_convex_resolves_nothing_below_the_h_band(self):
+        # A figure-eight detour 1e-11 diameters wide on a side of an octagon: its
+        # H values stay inside the band PREDICATE_TOL * diameter**2 and its turns
+        # cancel, so the octagon stays CONVEX; is_simple sees the crossings
+        octagon = np.exp(2j * np.pi * np.arange(8) / 8)
+        side, s = octagon[1] - octagon[0], 1e-11 * 2.0 / 4  # the detour spans 4 s
+        detour = [(-2, 0), (1, 1), (1, -1), (-1, 1), (-1, -1), (2, 0)]
+        mid = 0.5 * (octagon[0] + octagon[1])
+        z = np.insert(octagon, 1, [mid + side / abs(side) * s * complex(x, y) for x, y in detour])
+        res = classify_convexity(Polygon(z))
+        assert res.tag is ConvexityTag.CONVEX
+        assert not is_simple(Polygon(z))
 
     def test_internal_angle_sum_simple_polygons(self):
         # sum of internal angles of a simple polygon is (n-2)*pi
@@ -311,6 +335,15 @@ class TestIsSimple:
     def test_doubled_back_edge_not_simple(self):
         p = Polygon([(0, 0), (2, 0), (1, 0), (1, 1)])
         assert not is_simple(p)
+
+    def test_short_side_keeps_a_distance_band(self):
+        # The side ending at eps/2 + 0.05 e^{i pi/6} points between the ends of
+        # the 1e-10 side [0, eps] and stops 0.025 short of its line.  A band of
+        # PREDICATE_TOL * scale**2 / |side| about that line (0.042 here) counted a
+        # crossing; in distance units the hexagon is simple, as exact arithmetic says
+        eps, ray = 1e-10, np.exp(1j * np.pi / 6)
+        hexagon = Polygon([0, eps, 2, eps / 2 + 1.5 * ray, eps / 2 + 0.05 * ray, -0.5 + 0.5j])
+        assert is_simple(hexagon)
 
 
 class TestCircumcircle:

@@ -17,7 +17,11 @@ formula must agree with it within the sum of the two formulas' bounds.  The
 side-pair
 test of ``is_simple`` was once a scalar loop over the pairs; that loop, and
 the one-polygon star and convexity classifiers built on it, are kept here as
-the oracle for the stacked classification.  The modal transform was once a
+the oracle for the stacked classification.  Run with no band in
+``fractions.Fraction`` arithmetic, the same loop is the exact simplicity test.
+The package classifies convexity by one full turn and no side pair, so its
+tag may differ from the oracle's where only the oracle's pair band rejects a
+row (see ``check_convexity``).  The modal transform was once a
 pair of direct O(n^2) sums through hand-built DFT matrices, and the ellipse
 series a per-sample loop; those bodies are kept here as the oracle for the
 FFT and for the stacked residual.  ``run`` once stepped every flow's vertices
@@ -143,6 +147,18 @@ GRID_STACK = st.tuples(st.integers(1, 4), st.integers(3, 9), st.booleans()).flat
     lambda shape: arrays(
         np.complex128, shape[:2], elements=st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
     ).map(lambda z: sort_by_angle(z) if shape[2] else z)
+)
+
+
+# points of a circle in angle order, at scales from 1e-100 to 1e100: convex
+# rows, many strictly, with coincident and near-coincident vertices among them
+CIRCLE_STACK = st.builds(
+    lambda scale, center, theta: scale * (center + np.exp(1j * np.sort(theta, axis=1))),
+    st.integers(-100, 100).map(lambda k: 10.0**k),
+    POINT,
+    st.tuples(st.integers(1, 3), st.integers(3, 16)).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=st.floats(0.0, 6.25))
+    ),
 )
 
 
@@ -351,23 +367,20 @@ def _on_segment(ax, ay, bx, by, px, py, tol):
     )
 
 
-def _segments_touch(p1, q1, p2, q2) -> bool:
-    ax, ay = p1.real, p1.imag
-    bx, by = q1.real, q1.imag
-    cx, cy = p2.real, p2.imag
-    dx, dy = q2.real, q2.imag
-    scale = max(
-        abs(bx - ax) + abs(by - ay),
-        abs(dx - cx) + abs(dy - cy),
-        abs(cx - ax) + abs(cy - ay),
-        abs(dx - ax) + abs(dy - ay),
-    )
-    tol_cross = PREDICATE_TOL * scale * scale
-    tol_len = PREDICATE_TOL * scale
-    o1 = _orient(ax, ay, bx, by, cx, cy, tol_cross)
-    o2 = _orient(ax, ay, bx, by, dx, dy, tol_cross)
-    o3 = _orient(cx, cy, dx, dy, ax, ay, tol_cross)
-    o4 = _orient(cx, cy, dx, dy, bx, by, tol_cross)
+def _segments_touch(p1, q1, p2, q2, tol=PREDICATE_TOL) -> bool:
+    ax, ay = p1
+    bx, by = q1
+    cx, cy = p2
+    dx, dy = q2
+    l1_ab = abs(bx - ax) + abs(by - ay)
+    l1_cd = abs(dx - cx) + abs(dy - cy)
+    scale = max(l1_ab, l1_cd, abs(cx - ax) + abs(cy - ay), abs(dx - ax) + abs(dy - ay))
+    tol_len = tol * scale
+    # an endpoint within tol_len of a side's line: |cross| <= tol_len * L1(side)
+    o1 = _orient(ax, ay, bx, by, cx, cy, tol_len * l1_ab)
+    o2 = _orient(ax, ay, bx, by, dx, dy, tol_len * l1_ab)
+    o3 = _orient(cx, cy, dx, dy, ax, ay, tol_len * l1_cd)
+    o4 = _orient(cx, cy, dx, dy, bx, by, tol_len * l1_cd)
     if o1 != o2 and o3 != o4:
         return True
     if o1 == 0 and _on_segment(ax, ay, bx, by, cx, cy, tol_len):
@@ -381,21 +394,22 @@ def _segments_touch(p1, q1, p2, q2) -> bool:
     return False
 
 
-def ref_is_simple(z):
-    pts = z.tolist()
+def ref_is_simple(z, tol=PREDICATE_TOL, num=float):
+    # tol=0 with num=Fraction is the exact test: no band, no rounding
+    pts = [(num(v.real), num(v.imag)) for v in z.tolist()]
     n = len(pts)
     for i in range(n):
-        a = pts[i - 1]
-        v = pts[i]
-        c = pts[(i + 1) % n]
-        ur = a.real - v.real
-        ui = a.imag - v.imag
-        wr = c.real - v.real
-        wi = c.imag - v.imag
+        ar, ai = pts[i - 1]
+        vr, vi = pts[i]
+        cr, ci = pts[(i + 1) % n]
+        ur = ar - vr
+        ui = ai - vi
+        wr = cr - vr
+        wi = ci - vi
         scale = max(abs(ur) + abs(ui), abs(wr) + abs(wi))
         cross = ur * wi - ui * wr
         dot = ur * wr + ui * wi
-        if abs(cross) <= PREDICATE_TOL * scale * scale and dot > 0.0:
+        if abs(cross) <= tol * scale * scale and dot > 0.0:
             return False
     for i in range(n):
         p1 = pts[i]
@@ -403,7 +417,7 @@ def ref_is_simple(z):
         for j in range(i + 1, n):
             if j == i + 1 or (i == 0 and j == n - 1):
                 continue
-            if _segments_touch(p1, q1, pts[j], pts[(j + 1) % n]):
+            if _segments_touch(p1, q1, pts[j], pts[(j + 1) % n], tol):
                 return False
     return True
 
@@ -439,6 +453,38 @@ def ref_classify_convexity(z):
     else:
         tag = ConvexityTag.NOT_CONVEX
     return tag, beta, h
+
+
+def exact_h(z):
+    """Per vertex, H = Im{(z_{i-1} - z_i) * conj(z_{i+1} - z_i)} in ``Fraction`` arithmetic."""
+    pts = [(Fraction(v.real), Fraction(v.imag)) for v in z.tolist()]
+    return [
+        (qx - vx) * (py - vy) - (qy - vy) * (px - vx)
+        for (px, py), (vx, vy), (qx, qy) in zip(pts[-1:] + pts[:-1], pts, pts[1:] + pts[:1])
+    ]
+
+
+def check_convexity(z, tag, beta, h):
+    """One row's convexity classes against ``ref_classify_convexity``.
+
+    Angles and H values match bit for bit.  The tag matches too, except where
+    only the oracle's side-pair band rejects the row: a feature inside the H
+    band (a near-coincident vertex, a hair-thin loop) that the pair band sees as
+    a touch.  The one-full-turn rule cannot resolve it and keeps the H verdict.
+    STRICTLY_CONVEX is exact: every oriented H value is above 0 and the circuit
+    is simple, both without rounding or tolerance.
+    """
+    ref_tag, ref_beta, ref_h = ref_classify_convexity(z)
+    assert same_bits(beta, ref_beta) and same_bits(h, ref_h)
+    if tag is not ref_tag:
+        tol = PREDICATE_TOL * _diameter(z) ** 2
+        assert ref_tag is ConvexityTag.NOT_CONVEX and not ref_is_simple(z)
+        assert np.all(h >= -tol) and np.any(h > tol)
+        assert tag is (ConvexityTag.STRICTLY_CONVEX if np.all(h > tol) else ConvexityTag.CONVEX)
+    if tag is ConvexityTag.STRICTLY_CONVEX:
+        orientation = -1 if ref_signed_area(z) < 0.0 else 1
+        assert all(orientation * x > 0 for x in exact_h(z))
+        assert ref_is_simple(z, tol=0, num=Fraction)
 
 
 def outcome(fn, z):
@@ -612,8 +658,7 @@ def test_one_polygon_classes(poly):
     tag, alpha, r = ref_classify_star(poly.z)
     assert star.tag is tag and same_bits(star.angles, alpha) and same_bits(star.radii, r)
     cvx = classify_convexity(poly)
-    tag, beta, h = ref_classify_convexity(poly.z)
-    assert cvx.tag is tag and same_bits(cvx.internal_angles, beta) and same_bits(cvx.h_values, h)
+    check_convexity(poly.z, cvx.tag, cvx.internal_angles, cvx.h_values)
 
 
 # the stacked classes must give every row of a stack the one-polygon verdict
@@ -633,13 +678,15 @@ def test_stacked_star_classes(z):
         assert tag is ref_tag and same_bits(a, ref_alpha) and same_bits(rr, ref_r)
 
 
-@given(st.one_of(STACK, GRID_STACK))
+@given(st.one_of(STACK, GRID_STACK, CIRCLE_STACK))
+# a unit square with a vertex split 1.5e-167 apart: the oracle's pair band sees
+# the split side touch the bottom one, the H band resolves nothing there
+@example(np.array([[1.0, 1.0 + 1.5e-167j, 1j, 0.0]]))
 def test_stacked_convexity_classes(z):
     tags, beta, h = _convexity_classes(z)
     assert tags.shape == z.shape[:1] and beta.shape == h.shape == z.shape
     for row, tag, b, hh in zip(z, tags, beta, h):
-        ref_tag, ref_beta, ref_h = ref_classify_convexity(row)
-        assert tag is ref_tag and same_bits(b, ref_beta) and same_bits(hh, ref_h)
+        check_convexity(row, tag, b, hh)
 
 
 def test_simple_spans_pair_blocks():
