@@ -7,9 +7,9 @@ Three flows are provided, each assigning one velocity per vertex:
 * Menger-Melnikov: ``v_i = (C_i - z_i) / R_i**2`` where ``C_i`` and ``R_i``
   are the center and radius of the circle through ``z_{i-1}, z_i, z_{i+1}``;
   the magnitude is the Menger curvature ``1/R_i``.  It equals
-  ``1 / conj(C_i - z_i)``, which is evaluated in closed form, with no center
-  and no radius.  A collinear triple has zero curvature and contributes zero
-  velocity.
+  ``1 / conj(C_i - z_i)``, evaluated in closed form on sides scaled by a power
+  of two, with no center and no radius.  A straight vertex (the fold test's
+  band, ``geometry._collinear``) contributes zero velocity.
 * bisector: motion along the internal angle bisector at each vertex, the
   direction that locally shrinks the perimeter fastest for a given speed.
   ``d_i`` is the sum of the two unit edge vectors out of ``z_i``; UNIT mode
@@ -138,9 +138,9 @@ def _menger_melnikov_field(z: np.ndarray) -> np.ndarray:
     zn = _next(z)
     if np.any(zp == z) or np.any(zp == zn):
         raise DegenerateTripleError("coincident points in a curvature triple")
-    num, cross, ok = _circumcircle_terms(zp, z, zn)
+    num, cross, ok, s = _circumcircle_terms(zp, z, zn)
     # collinear triples keep velocity 0 and are never divided
-    return np.divide(-2j * cross, num.conj(), out=np.zeros_like(z), where=ok)
+    return np.divide(-2j * s * cross, num.conj(), out=np.zeros_like(z), where=ok)
 
 
 def _bisector_direction(z: np.ndarray) -> np.ndarray:

@@ -12,13 +12,15 @@ turning quantities
     convex_function(p, v, q) = Im{ (p - v) * conj(q - v) }
 
 scale quadratically with length, so sign tests compare them against
-``PREDICATE_TOL`` times the squared diameter of their input points.  Angle-sum
-tests use the absolute tolerance ``ANGLE_SUM_TOL`` (radians).
+``PREDICATE_TOL`` times a squared length: the diameter in the star and convexity
+classes, the larger side's L1 length at a straight vertex (a fold, or a collinear
+circumcircle triple).  Angle-sum tests use the absolute tolerance ``ANGLE_SUM_TOL``.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +47,8 @@ __all__ = [
     "circumcircle",
 ]
 
-# Sign tests on quadratically scaling quantities use this times squared diameter;
-# tests on lengths use this times the diameter.
+# Sign tests on quadratically scaling quantities use this times a squared length,
+# tests on lengths this times a length (see the module docstring).
 PREDICATE_TOL = 1e-12
 
 # Absolute tolerance on winding/angle sums, in radians.
@@ -431,10 +433,15 @@ def _l1(u):
     return np.abs(u.real) + np.abs(u.imag)
 
 
+def _collinear(u, w):
+    """Elementwise: is |cross(u, w)| <= ``PREDICATE_TOL`` max(L1 u, L1 w)**2 (a straight vertex)?"""
+    scale = np.maximum(_l1(u), _l1(w))
+    return np.abs(_cross(u, w)) <= PREDICATE_TOL * scale * scale
+
+
 def _folds(u, w):
     """Elementwise: do the sides ``u`` and ``w`` from a vertex leave it one way (a fold)?"""
-    scale = np.maximum(_l1(u), _l1(w))
-    return (np.abs(_cross(u, w)) <= PREDICATE_TOL * scale * scale) & (_dot(u, w) > 0.0)
+    return _collinear(u, w) & (_dot(u, w) > 0.0)
 
 
 def _sides_meet(a, b, c, d):
@@ -507,38 +514,32 @@ class Circumcircle:
     radius: float
 
 
-def _hypot(u):
-    # bit-equal to Python's abs(complex), which np.abs is not
-    return np.hypot(u.real, u.imag)
-
-
 def _circumcircle_terms(a, b, c):
-    """Elementwise ``(num, cross, ok)`` for the circles through ``(a, b, c)``.
+    """Elementwise ``(num, cross, ok, s)`` for the circles through ``(a, b, c)``.
 
-    With u = a - b and w = c - b, ``num`` = |u|^2 w - |w|^2 u and ``cross`` =
-    Im{conj(u) * w}; the center is b + num / (2i cross), so (center - b) / R^2
-    = 1 / conj(center - b) = -2i cross / conj(num).  ``ok`` is False where
-    :func:`circumcircle` finds the triple collinear; callers divide only where
-    it is True.
+    With u = s (a - b), w = s (c - b), ``num`` = |u|^2 w - |w|^2 u and ``cross`` =
+    Im{conj(u) * w}, the center is b + num / (2i s cross), so (center - b) / R^2 =
+    1 / conj(center - b) = -2i s cross / conj(num).  s, one power of two per call,
+    takes the largest L1 of u and w into [1/2, 1): exact, and num ~ side**3 stays
+    in range.  ``ok`` is False where the vertex is :func:`_collinear`; callers
+    divide only where it is True.
     """
     u, w = a - b, c - b
-    cross = _cross(u, w)
-    scale = np.maximum(np.maximum(_hypot(u), _hypot(w)), _hypot(a - c))
-    ok = ~((scale == 0.0) | (np.abs(cross) <= PREDICATE_TOL * scale * scale))
-    return _dot(u, u) * w - _dot(w, w) * u, cross, ok
+    s = math.ldexp(1.0, -max(math.frexp(np.maximum(_l1(u), _l1(w)).max())[1], -1023))
+    u, w = s * u, s * w
+    return _dot(u, u) * w - _dot(w, w) * u, _cross(u, w), ~_collinear(u, w), s
 
 
 def circumcircle(a: complex, b: complex, c: complex):
     """Circle through three points, or ``None`` when they are collinear.
 
-    Collinearity means ``|star_function(a, b, c)|`` at or below
-    ``PREDICATE_TOL`` times the squared diameter of the triple (coincident
-    points included), in which case the circle degenerates to a line and
-    ``None`` is returned.
+    Collinearity means ``|star_function(a, b, c)|`` at or below ``PREDICATE_TOL``
+    times the squared larger L1 length of ``a - b`` and ``c - b`` (coincident
+    points included): the circle degenerates to a line and ``None`` is returned.
     """
     b = complex(b)
-    num, cross, ok = _circumcircle_terms(complex(a), b, complex(c))
+    num, cross, ok, s = _circumcircle_terms(complex(a), b, complex(c))
     if not ok:
         return None
-    offset = num / (2j * cross)
+    offset = num / (2j * cross) / s
     return Circumcircle(center=b + offset, radius=abs(offset))
