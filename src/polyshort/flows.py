@@ -136,20 +136,21 @@ def _linear_field(z: np.ndarray) -> np.ndarray:
 def _menger_melnikov_field(z: np.ndarray) -> np.ndarray:
     zp = _prev(z)
     zn = _next(z)
-    if np.any(zp == z) or np.any(zp == zn):
+    if np.count_nonzero(zp == z) or np.count_nonzero(zp == zn):
         raise DegenerateTripleError("coincident points in a curvature triple")
     num, cross, ok, s = _circumcircle_terms(zp, z, zn)
     # collinear triples keep velocity 0 and are never divided
-    return np.divide(-2j * s * cross, num.conj(), out=np.zeros_like(z), where=ok)
+    return np.divide(-2j * s * cross, num.conj(), out=np.zeros(z.shape, complex), where=ok)
 
 
 def _bisector_direction(z: np.ndarray) -> np.ndarray:
-    e_next = _next(z) - z
+    zn = _next(z)
+    e_next = zn - z
     ln = np.abs(e_next)
-    if np.any(ln == 0.0):
+    if np.count_nonzero(ln) < ln.size:
         raise CoincidentVerticesError("zero-length edge")
-    # _prev(z) - z, not -_prev(e_next): the negation would flip signed zeros
-    return (_prev(z) - z) / _prev(ln) + e_next / ln
+    # _prev((z - zn) / ln), not -_prev(e_next / ln) or t - _prev(t): both flip signed zeros
+    return _prev((z - zn) / ln) + e_next / ln
 
 
 def _bisector_field(z: np.ndarray, spec: FlowSpec) -> np.ndarray:
@@ -157,7 +158,7 @@ def _bisector_field(z: np.ndarray, spec: FlowSpec) -> np.ndarray:
     if spec.bisector_speed_mode is BisectorSpeedMode.NORM_MATCHED:
         return 0.5 * d
     mag = np.abs(d)
-    return np.divide(spec.bisector_speed * d, mag, out=np.zeros_like(d), where=mag > ANTIPARALLEL_TOL)
+    return np.divide(spec.bisector_speed * d, mag, out=np.zeros(d.shape, complex), where=mag > ANTIPARALLEL_TOL)
 
 
 def _field_function(spec: FlowSpec):

@@ -436,7 +436,12 @@ def _l1(u):
 def _collinear(u, w):
     """Elementwise: is |cross(u, w)| <= ``PREDICATE_TOL`` max(L1 u, L1 w)**2 (a straight vertex)?"""
     scale = np.maximum(_l1(u), _l1(w))
-    return np.abs(_cross(u, w)) <= PREDICATE_TOL * scale * scale
+    return _straight(_cross(u, w), scale)
+
+
+def _straight(cross, scale):
+    """:func:`_collinear` from ``cross(u, w)`` and ``max(L1 u, L1 w)``; NaN is not straight."""
+    return np.abs(cross) <= PREDICATE_TOL * scale * scale
 
 
 def _folds(u, w):
@@ -522,12 +527,14 @@ def _circumcircle_terms(a, b, c):
     1 / conj(center - b) = -2i s cross / conj(num).  s, one power of two per call,
     takes the largest L1 of u and w into [1/2, 1): exact, and num ~ side**3 stays
     in range.  ``ok`` is False where the vertex is :func:`_collinear`; callers
-    divide only where it is True.
+    divide only where it is True.  Its band takes s times the unscaled L1 lengths.
     """
     u, w = a - b, c - b
-    s = math.ldexp(1.0, -max(math.frexp(np.maximum(_l1(u), _l1(w)).max())[1], -1023))
+    scale = np.maximum(_l1(u), _l1(w))
+    s = math.ldexp(1.0, -max(math.frexp(scale.max())[1], -1023))
     u, w = s * u, s * w
-    return _dot(u, u) * w - _dot(w, w) * u, _cross(u, w), ~_collinear(u, w), s
+    cross = _cross(u, w)
+    return _dot(u, u) * w - _dot(w, w) * u, cross, ~_straight(cross, s * scale), s
 
 
 def circumcircle(a: complex, b: complex, c: complex):

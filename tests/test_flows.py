@@ -14,6 +14,7 @@ from polyshort.flows import (
     velocity,
 )
 from polyshort.geometry import Polygon, circumcircle
+from polyshort.simulate import SimConfig, Termination, run
 from polyshort.spectral import eigenvalues
 
 UNIT_SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -193,3 +194,58 @@ class TestBisectorVelocity:
     def test_zero_edge_raises(self):
         with pytest.raises(CoincidentVerticesError):
             flows._bisector_direction(np.array([0j, 0j, 1 + 1j]))
+
+
+HEXAGON = regular_ngon(6).z
+BISECTORS = (FlowSpec.bisector(), FlowSpec.bisector(speed_mode=BisectorSpeedMode.NORM_MATCHED))
+
+
+def with_zero_edge(k):
+    # edge k runs from vertex k to vertex k + 1; edge 5 is the wrap edge 5 -> 0
+    z = HEXAGON.copy()
+    z[(k + 1) % 6] = z[k]
+    return z
+
+
+def with_folded_triple(k):
+    # the triple centred on vertex k has equal outer points; triples 0 and 5 wrap
+    z = HEXAGON.copy()
+    z[(k + 1) % 6] = z[k - 1]
+    return z
+
+
+class TestDegeneracyAtEveryPosition:
+    # the degeneracy tests see the whole circuit, the wrap-around included
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_zero_edge(self, k):
+        z = with_zero_edge(k)
+        with pytest.raises(CoincidentVerticesError):
+            flows._bisector_direction(z)
+        for spec in BISECTORS:
+            with pytest.raises(CoincidentVerticesError):
+                velocity(Polygon._wrap(z), spec)
+        # z_prev == z at vertex k + 1
+        with pytest.raises(DegenerateTripleError):
+            flows._menger_melnikov_field(z)
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_equal_outer_neighbors(self, k):
+        with pytest.raises(DegenerateTripleError):
+            flows._menger_melnikov_field(with_folded_triple(k))
+
+    @pytest.mark.parametrize("k", range(6))
+    @pytest.mark.parametrize("build", [with_zero_edge, with_folded_triple])
+    def test_menger_melnikov_run_ends_degenerate(self, build, k):
+        traj = run(Polygon._wrap(build(k)), FlowSpec.menger_melnikov(), SimConfig(t_end=1.0, dt=0.01))
+        assert traj.termination is Termination.DEGENERATE
+        assert len(traj) == 1
+
+    @pytest.mark.parametrize("k", range(6))
+    @pytest.mark.parametrize("spec", BISECTORS)
+    def test_bisector_run_ends_degenerate(self, spec, k):
+        # a capture threshold of 0 never fires, so the zero edge reaches the field
+        cfg = SimConfig(t_end=1.0, dt=0.01, min_edge_capture=0.0)
+        traj = run(Polygon._wrap(with_zero_edge(k)), spec, cfg)
+        assert traj.termination is Termination.DEGENERATE
+        assert len(traj) == 1

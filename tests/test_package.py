@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +62,16 @@ def test_cli_runs_as_a_module():
     assert out.returncode == 0, out.stderr
     assert out.stdout.rstrip().rpartition("\n")[2].startswith("validate: all checks passed")
     assert out.stderr == ""
+
+
+def test_artifact_digests_repeat_across_processes():
+    # every validate, reproduce, simulate and analyze artifact is byte-identical
+    # from one fresh process to the next
+    argv = [sys.executable, str(ROOT / "scripts" / "artifact_digest.py")]
+    first, second = (subprocess.run(argv, capture_output=True, text=True, timeout=120, check=True) for _ in range(2))
+    assert first.stdout == second.stdout
+    lines = first.stdout.splitlines()
+    assert lines and all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
 
 
 def test_console_script_names_the_cli(capsys):

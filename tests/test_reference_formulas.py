@@ -71,6 +71,7 @@ from polyshort.geometry import (  # noqa: E402
     Polygon,
     StarTag,
     _circumcircle_terms,
+    _collinear,
     _convexity_classes,
     _cross,
     _diameter,
@@ -133,9 +134,15 @@ POINT = st.builds(complex, COORD, COORD)
 CIRCUIT = st.lists(POINT, min_size=3, max_size=9).map(lambda pts: Polygon._wrap(np.array(pts)))
 # stacks of S samples; the sizes straddle numpy's 8-wide unrolled and
 # 128-wide pairwise summation blocks, where a row-wise sum could differ
-STACK = st.tuples(
+STACK_SHAPE = st.tuples(
     st.integers(1, 4), st.sampled_from([3, 4, 7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257])
-).flatmap(lambda shape: arrays(np.complex128, shape, elements=POINT))
+)
+STACK = STACK_SHAPE.flatmap(lambda shape: arrays(np.complex128, shape, elements=POINT))
+# the same shapes, with coordinates also from the whole double range: subnormal,
+# huge, infinite and NaN
+WIDE_STACK = STACK_SHAPE.flatmap(
+    lambda shape: arrays(np.complex128, shape, elements=st.one_of(POINT, st.builds(complex, st.floats(), st.floats())))
+)
 
 
 def sort_by_angle(z):
@@ -671,6 +678,21 @@ def test_straight_vertex_band():
     # a triple 7.3e-150 across: its circle once came out with radius 0
     circ = circumcircle(0, 7.3e-150j, 7.3e-150)
     assert circ.center == pytest.approx(3.65e-150 + 3.65e-150j) and circ.radius == pytest.approx(5.16188e-150)
+
+
+@given(st.one_of(STACK, WIDE_STACK))
+def test_circumcircle_mask_is_the_fold_band(stack):
+    # _circumcircle_terms takes the L1 lengths and the cross product once and
+    # scales the lengths by s; its mask has the bits of _collinear on the
+    # scaled sides, and a NaN row stays not collinear
+    for z in (stack, *stack):
+        a, b, c = _prev(z), z, _next(z)
+        with np.errstate(all="ignore"):
+            num, cross, ok, s = _circumcircle_terms(a, b, c)
+            u, w = s * (a - b), s * (c - b)
+            assert ok.dtype == bool and np.array_equal(ok, ~_collinear(u, w))
+            assert same_bits(cross, _cross(u, w))
+        assert ok[np.isnan(cross)].all()
 
 
 @given(CIRCUIT)
