@@ -11,9 +11,10 @@ Menger-Melnikov run of a generator polygon, a Menger-Melnikov run of a
 polygon with a straight vertex, a UNIT-speed bisector run, a densely recorded
 linear run of a convex polygon and a linear run of the ``embedded_loss``
 fixture), the CSV and summary JSON of the Menger-Melnikov run of the seed-11
-256-gon that stops being a star, and the ``analyze`` report JSON of every
-check on ``fig8.csv`` and on the CSV of the first, fourth and fifth scenario,
-then prints ``<sha256>  <file>`` for each file in name order.  Run it before
+256-gon that stops being a star and of a linear run whose step is past
+RK4's stability edge, so that its states overflow, and the ``analyze`` report
+JSON of every check on ``fig8.csv`` and on the CSV of the first, fourth and
+fifth scenario, then prints ``<sha256>  <file>`` for each file in name order.  Run it before
 and after a change and diff the two outputs: any difference is a changed
 artifact.
 """
@@ -99,6 +100,15 @@ _SCENARIOS = [
         "flow": {"kind": "menger_melnikov"},
         "sim": {"t_end": 2e-3, "dt": 1e-4},
         "seed": 11,
+        "outputs": ["csv", "report_json"],
+    },
+    # dt = 2 is past RK4's stability edge for this quadrilateral's fastest mode:
+    # the run overflows and ends DEGENERATE, and its last perimeter is not finite
+    {
+        "name": "unstable",
+        "polygon": {"vertices": [[0, 0], [2, 0], [1, 1], [0, 1]]},
+        "flow": {"kind": "linear"},
+        "sim": {"t_end": 1e4, "dt": 2.0, "record_every": 100},
         "outputs": ["csv", "report_json"],
     },
 ]

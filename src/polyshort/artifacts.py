@@ -147,10 +147,6 @@ def scenario_polygon(scenario: Scenario) -> Polygon:
     return generate(scenario.polygon, scenario.seed)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 # CSV column name -> Trajectory attribute, for the columns after the vertices
 _CSV_COLUMNS = {"perimeter": "perimeter", "area": "signed_area", "minF": "min_f", "minH": "min_h", "min_edge": "min_edge"}
 
@@ -169,11 +165,15 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     for i in range(1, traj.n + 1):
         cols += [f"x{i}", f"y{i}"]
     # a complex row viewed as floats is x1, y1, ..., xn, yn
-    table = np.column_stack([traj.times, traj.z.view(np.float64)] + [getattr(traj, a) for a in _CSV_COLUMNS.values()])
-    lines = [",".join(cols + list(_CSV_COLUMNS))]
+    columns = [traj.times, traj.z.view(np.float64)] + [getattr(traj, a) for a in _CSV_COLUMNS.values()]
+    _write_csv(path, cols + list(_CSV_COLUMNS), columns, [f"# termination={traj.termination.name}"])
+
+
+def _write_csv(path, header, columns, tail=()) -> None:
+    """Write ``header``, each row of the stacked ``columns`` with one ``%.17g`` format, then ``tail``."""
+    table = np.column_stack(columns)
     row_format = ",".join(["%.17g"] * table.shape[1])
-    lines += [row_format % tuple(row) for row in table.tolist()]
-    lines.append(f"# termination={traj.termination.name}")
+    lines = [",".join(header)] + [row_format % tuple(row) for row in table.tolist()] + list(tail)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -219,8 +219,8 @@ def _svg_num(x: float) -> str:
 
 
 def _svg_points(z: np.ndarray, sep: str = " ") -> str:
-    # "x,y" pairs with y flipped so the picture is upright
-    return sep.join(f"{_svg_num(x)},{_svg_num(-y)}" for x, y in zip(z.real.tolist(), z.imag.tolist()))
+    # "x,y" pairs, y flipped so the picture is upright: conj(z) as floats, + 0.0 making -0.0 a 0
+    return sep.join(["%.6g,%.6g"] * len(z)) % tuple((z.conj().view(np.float64) + 0.0).tolist())
 
 
 def _shade(i: int, count: int) -> str:

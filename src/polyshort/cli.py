@@ -26,8 +26,8 @@ from .analysis import (
     validate_suite,
 )
 from .artifacts import (
-    _fmt,
     _parse_flow,
+    _write_csv,
     load_scenario,
     read_trajectory_csv,
     render_svg,
@@ -54,7 +54,6 @@ def _cmd_simulate(args) -> int:
     poly = scenario_polygon(scenario)
     traj = run(poly, scenario.flow, scenario.sim)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     def declared(kind: str, suffix: str):
         # where a scenario-declared output goes when no --out-* flag names it
@@ -63,10 +62,13 @@ def _cmd_simulate(args) -> int:
     csv_path = args.out_csv or declared("csv", "csv")
     svg_path = args.out_svg or declared("svg", "svg")
     json_path = args.out_json or declared("report_json", "json")
+    # drawn before any file is written: a trajectory that cannot be drawn leaves none
+    svg = render_svg(traj) if svg_path else None
+    out_dir.mkdir(parents=True, exist_ok=True)
     if csv_path:
         write_trajectory_csv(traj, csv_path)
     if svg_path:
-        Path(svg_path).write_text(render_svg(traj), encoding="utf-8")
+        Path(svg_path).write_text(svg, encoding="utf-8")
     if json_path:
         summary = {
             "name": scenario.name,
@@ -78,7 +80,9 @@ def _cmd_simulate(args) -> int:
             "area_initial": float(traj.signed_area[0]),
             "area_final": float(traj.signed_area[-1]),
         }
-        Path(json_path).write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+        # an overflowing run's last perimeter or area is not finite: null, as in report_json
+        summary = {key: None if type(v) is float and not np.isfinite(v) else v for key, v in summary.items()}
+        Path(json_path).write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n", encoding="utf-8")
     print(f"{scenario.name}: termination={traj.termination.name} samples={len(traj)} t_final={traj.times[-1]:.6g}")
     return 1 if traj.termination in (Termination.DEGENERATE, Termination.MAX_STEPS) else 0
 
@@ -168,8 +172,7 @@ def _reproduce_fig8(out_dir: Path) -> None:
     svg = render_svg(traj, snapshot_times=[0.0, 0.25, 0.5, 1.0, 2.0])
     (out_dir / "fig8.svg").write_text(svg, encoding="utf-8")
     write_trajectory_csv(traj, out_dir / "fig8.csv")
-    lines = ["t,area"] + [f"{_fmt(t)},{_fmt(a)}" for t, a in zip(traj.times, traj.signed_area)]
-    (out_dir / "fig8_area.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(out_dir / "fig8_area.csv", ["t", "area"], [traj.times, traj.signed_area])
 
 
 _FIG9_VERTICES = [

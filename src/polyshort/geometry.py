@@ -478,9 +478,13 @@ def _sides_meet(a, b, c, d):
 
 
 def _simple(z: np.ndarray) -> np.ndarray:
-    """Per row of the ``(S, n)`` stack ``z``: is that circuit simple (see :func:`is_simple`)?"""
+    """Per row of the ``(S, n)`` stack ``z``: is that circuit simple (see :func:`is_simple`)?
+
+    A STRICTLY_CONVEX row is exactly simple; only the other fold-free rows take the pair test.
+    """
     zn = _next(z)
     simple = ~_folds(_prev(z) - z, zn - z).any(axis=-1)
+    strict = _convexity_classes(z)[0] == ConvexityTag.STRICTLY_CONVEX
     # side k runs from vertex k to k+1; test the pairs i < j that share no vertex
     n = z.shape[-1]
     k = np.arange(n)
@@ -491,7 +495,7 @@ def _simple(z: np.ndarray) -> np.ndarray:
     rows = max(1, _PAIR_BLOCK // max(i.size, 1))
     for r0 in range(0, len(z), rows):
         for p0 in range(0, i.size, _PAIR_BLOCK):
-            live = r0 + np.flatnonzero(simple[r0 : r0 + rows])
+            live = r0 + np.flatnonzero(simple[r0 : r0 + rows] & ~strict[r0 : r0 + rows])
             if not live.size:
                 break
             ii, jj = i[p0 : p0 + _PAIR_BLOCK], j[p0 : p0 + _PAIR_BLOCK]
@@ -503,10 +507,10 @@ def _simple(z: np.ndarray) -> np.ndarray:
 def is_simple(poly: Polygon) -> bool:
     """True when the circuit is a simple polygon.
 
-    Checks all O(n^2) side pairs.  Non-adjacent sides must not meet at all;
-    touching within ``PREDICATE_TOL`` of the local scale counts as meeting.
-    Adjacent sides must meet only at their shared vertex, so a side doubling
-    back over its neighbor makes the circuit non-simple.
+    A ``STRICTLY_CONVEX`` circuit is simple whatever the band: that tag is exact.
+    Otherwise all O(n^2) side pairs are checked.  Non-adjacent sides must not meet;
+    touching within ``PREDICATE_TOL`` of the local scale counts as meeting.  Adjacent
+    sides meet only at their shared vertex: one doubling back makes it non-simple.
     """
     return bool(_simple(poly.z[None])[0])
 

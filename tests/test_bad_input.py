@@ -163,6 +163,10 @@ def test_simulate_unstable_step_writes_no_warning(tmp_path):
     assert code == 1
     assert "termination=DEGENERATE" in out
     assert err == ""
+    # Infinity and NaN are not JSON: the overflowed perimeter is null
+    text = (tmp_path / "fuzz.json").read_text(encoding="utf-8")
+    summary = json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in the summary"))
+    assert summary["termination"] == "DEGENERATE" and summary["perimeter_final"] is None
 
 
 @pytest.mark.filterwarnings("error")
@@ -177,6 +181,20 @@ def test_simulate_unstable_step_svg_is_one_error_line(tmp_path):
     assert code == 2
     assert_clean(code, err)
     assert "not finite" in err
+
+
+def test_simulate_unstable_step_svg_writes_no_file(tmp_path):
+    # the SVG is refused before the CSV or the summary is written
+    doc = with_value(("polygon", "vertices"), [[0, 0], [2, 0], [1, 1], [0, 1]])
+    doc["sim"] = {"t_end": 1e4, "dt": 2.0, "record_every": 100}
+    doc["outputs"] = ["csv", "svg", "report_json"]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    code, _, err = cli(["simulate", "--scenario", path, "--out-dir", out])
+    assert code == 2 and "not finite" in err
+    assert list(out.iterdir()) == []
 
 
 @settings(max_examples=50, deadline=None)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from polyshort import geometry
+from polyshort.analysis import check_area_monotone
+from polyshort.flows import FlowSpec
 from polyshort.generators import (
     _BOOMERANG_VERTICES,
     _EMBEDDED_LOSS_VERTICES,
@@ -29,6 +31,7 @@ from polyshort.geometry import (
     star_function,
     star_values,
 )
+from polyshort.simulate import SimConfig, TrajectoryPredicate, detect_first, run
 
 try:
     from hypothesis import given
@@ -335,6 +338,21 @@ class TestIsSimple:
     def test_doubled_back_edge_not_simple(self):
         p = Polygon([(0, 0), (2, 0), (1, 0), (1, 1)])
         assert not is_simple(p)
+
+    def test_strictly_convex_rows_skip_the_pair_test(self, monkeypatch):
+        # a STRICTLY_CONVEX row is exactly simple: is_simple and the area check
+        # settle it with no side pair, while other rows still reach _sides_meet
+        def no_pair_test(*sides):
+            raise AssertionError("_sides_meet called")
+
+        monkeypatch.setattr(geometry, "_sides_meet", no_pair_test)
+        poly = generate(GeneratorSpec(GeneratorKind.RANDOM_CONVEX, n=10), 3)
+        assert is_simple(poly)
+        traj = run(poly, FlowSpec.linear(), SimConfig(t_end=1.0, dt=0.01))
+        assert check_area_monotone(traj).passed
+        assert detect_first(traj, TrajectoryPredicate.LOSES_SIMPLICITY) is None
+        with pytest.raises(AssertionError, match="_sides_meet called"):
+            is_simple(Polygon(_BOOMERANG_VERTICES))
 
     def test_short_side_keeps_a_distance_band(self):
         # The side ending at eps/2 + 0.05 e^{i pi/6} points between the ends of

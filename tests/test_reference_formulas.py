@@ -21,8 +21,11 @@ the oracle for the stacked classification.  Run with no band in
 ``fractions.Fraction`` arithmetic, the same loop is the exact simplicity test,
 which ``is_simple`` must pass wherever no vertex or side pair is inside a band.
 The package classifies convexity by one full turn and no side pair, so its
-tag may differ from the oracle's where only the oracle's pair band rejects a
-row (see ``check_convexity``).  The modal transform was once a
+CONVEX tag may differ from the oracle's where only the oracle's pair band
+rejects a row (see ``check_convexity``).  A strictly convex row is simple in
+both, whatever its pairs.  The SVG once formatted each vertex coordinate with
+its own call; that formatter is the oracle for the one format per path.  The
+modal transform was once a
 pair of direct O(n^2) sums through hand-built DFT matrices, and the ellipse
 series a per-sample loop; those bodies are kept here as the oracle for the
 FFT and for the stacked residual.  ``run`` once stepped every flow's vertices
@@ -46,8 +49,13 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from polyshort.analysis import ellipse_convergence_series, perimeter_rate  # noqa: E402
-from polyshort.artifacts import read_trajectory_csv, write_trajectory_csv  # noqa: E402
+from polyshort.analysis import (  # noqa: E402
+    check_area_monotone,
+    check_convexity_preservation,
+    ellipse_convergence_series,
+    perimeter_rate,
+)
+from polyshort.artifacts import _svg_points, read_trajectory_csv, write_trajectory_csv  # noqa: E402
 from polyshort.flows import (  # noqa: E402
     ANTIPARALLEL_TOL,
     BisectorSpeedMode,
@@ -418,7 +426,9 @@ def _segments_touch(p1, q1, p2, q2, tol=PREDICATE_TOL) -> bool:
 
 
 def ref_is_simple(z, tol=PREDICATE_TOL, num=float):
-    # tol=0 with num=Fraction is the exact test: no band, no rounding
+    # tol=0 with num=Fraction is the exact test: no band, no rounding.  With the
+    # band, a fold-free circuit that turns once with every H above the H band is
+    # simple whatever its pairs, as in _simple
     pts = [(num(v.real), num(v.imag)) for v in z.tolist()]
     n = len(pts)
     for i in range(n):
@@ -434,6 +444,8 @@ def ref_is_simple(z, tol=PREDICATE_TOL, num=float):
         dot = ur * wr + ui * wi
         if abs(cross) <= tol * scale * scale and dot > 0.0:
             return False
+    if tol and ref_turns_once_strictly(z):
+        return True
     for i in range(n):
         p1 = pts[i]
         q1 = pts[(i + 1) % n]
@@ -461,8 +473,8 @@ def ref_classify_star(z):
     return tag, alpha, r
 
 
-def ref_classify_convexity(z):
-    # (tag, internal_angles, h_values), as classify_convexity computed them
+def ref_turns(z):
+    # (internal_angles, h_values, H band), as classify_convexity computed them
     u = _prev(z) - z
     w = _next(z) - z
     if ref_signed_area(z) < 0.0:
@@ -470,7 +482,19 @@ def ref_classify_convexity(z):
     h = _cross(w, u)
     beta = np.arctan2(h, _dot(u, w))
     beta = np.where(beta < 0.0, beta + _TWO_PI, beta)
-    tol = PREDICATE_TOL * _diameter(z) ** 2
+    return beta, h, PREDICATE_TOL * _diameter(z) ** 2
+
+
+def ref_turns_once_strictly(z):
+    # every oriented H above the H band and the turns pi - beta one full turn:
+    # with no fold, STRICTLY_CONVEX; it does not call ref_is_simple
+    beta, h, tol = ref_turns(z)
+    return bool(np.all(h > tol)) and abs(float(np.sum(np.pi - beta)) - _TWO_PI) <= ANGLE_SUM_TOL
+
+
+def ref_classify_convexity(z):
+    # (tag, internal_angles, h_values), as classify_convexity computed them
+    beta, h, tol = ref_turns(z)
     if np.all(h >= -tol) and np.any(h > tol) and ref_is_simple(z):
         tag = ConvexityTag.STRICTLY_CONVEX if np.all(h > tol) else ConvexityTag.CONVEX
     else:
@@ -491,19 +515,21 @@ def check_convexity(z, tag, beta, h):
     """One row's convexity classes against ``ref_classify_convexity``.
 
     Angles and H values match bit for bit.  The tag matches too, except where
-    only the oracle's side-pair band rejects the row: a feature inside the H
-    band (a near-coincident vertex, a hair-thin loop) that the pair band sees as
-    a touch.  The one-full-turn rule cannot resolve it and keeps the H verdict.
-    STRICTLY_CONVEX is exact: every oriented H value is above 0 and the circuit
-    is simple, both without rounding or tolerance.
+    only the oracle's side-pair band rejects a CONVEX row: a feature inside the
+    H band (a near-coincident vertex, a hair-thin loop) that the pair band sees
+    as a touch.  The one-full-turn rule cannot resolve it and keeps the H
+    verdict.  A strictly convex row is simple in the oracle too, whatever its
+    pairs, so STRICTLY_CONVEX always matches.  It is exact: every oriented H
+    value is above 0 and the circuit is simple, both without rounding or
+    tolerance.
     """
     ref_tag, ref_beta, ref_h = ref_classify_convexity(z)
     assert same_bits(beta, ref_beta) and same_bits(h, ref_h)
     if tag is not ref_tag:
         tol = PREDICATE_TOL * _diameter(z) ** 2
         assert ref_tag is ConvexityTag.NOT_CONVEX and not ref_is_simple(z)
-        assert np.all(h >= -tol) and np.any(h > tol)
-        assert tag is (ConvexityTag.STRICTLY_CONVEX if np.all(h > tol) else ConvexityTag.CONVEX)
+        assert np.all(h >= -tol) and np.any(h > tol) and not np.all(h > tol)
+        assert tag is ConvexityTag.CONVEX
     if tag is ConvexityTag.STRICTLY_CONVEX:
         orientation = -1 if ref_signed_area(z) < 0.0 else 1
         assert all(orientation * x > 0 for x in exact_h(z))
@@ -579,6 +605,30 @@ def test_trajectory_columns(z):
     assert same_bits(back.z.view(np.float64), z.view(np.float64))
     for name in ("times", "perimeter", "signed_area", "min_f", "min_h", "min_edge"):
         assert same_bits(getattr(back, name), getattr(traj, name))
+
+
+def ref_svg_points(z, sep=" "):
+    # the SVG vertex list as render_svg once wrote it: one format call per coordinate
+    def num(x):
+        s = format(x, ".6g")
+        return "0" if s == "-0" else s
+
+    return sep.join(f"{num(x)},{num(-y)}" for x, y in zip(z.real.tolist(), z.imag.tolist()))
+
+
+SVG_COORD = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e-300, math.inf, -math.inf, math.nan]),
+)
+
+
+@given(arrays(np.complex128, st.integers(1, 40), elements=st.builds(complex, SVG_COORD, SVG_COORD)), st.booleans())
+def test_svg_points(z, path):
+    # one "%.6g,%.6g" format per path writes the per-coordinate text; a strided
+    # view, as render_svg passes for a vertex's path, too
+    sep = " L " if path else " "
+    assert _svg_points(z, sep) == ref_svg_points(z, sep)
+    assert _svg_points(z[::2], sep) == ref_svg_points(z[::2], sep)
 
 
 @given(POINT, POINT, POINT)
@@ -769,6 +819,31 @@ def test_fold_band_case():
     assert not is_simple(Polygon(FOLD)) and ref_is_simple(FOLD, tol=0, num=Fraction)
 
 
+# a strictly convex pentagon of diameter 29.09 whose side 2 is 4.5e-11 long: the
+# pair band sees side 3's start touch side 1, though the exact circuit is simple
+CHAMFERED = np.array(
+    [
+        -11.431980201018359 - 8.13783576674112j,
+        -11.31270899216889 - 8.616852784912453j,
+        14.726796019580664 - 4.368456296555142j,
+        14.726796019576744 - 4.36845629651057j,
+        -9.393751240582302 + 11.88736244099022j,
+    ]
+)
+
+
+def test_strictly_convex_is_simple_whatever_the_band():
+    pts = [(v.real, v.imag) for v in CHAMFERED.tolist()]
+    assert _segments_touch(pts[1], pts[2], pts[3], pts[4])
+    poly = Polygon(CHAMFERED)
+    assert classify_convexity(poly).tag is ConvexityTag.STRICTLY_CONVEX
+    assert is_simple(poly) and ref_is_simple(CHAMFERED)
+    assert ref_is_simple(CHAMFERED, tol=0, num=Fraction)
+    # so the convexity and area checks agree on its run
+    traj = run(poly, FlowSpec.linear(), SimConfig(t_end=0.2, dt=0.05))
+    assert check_convexity_preservation(traj).passed and check_area_monotone(traj).passed
+
+
 # the stacked classes must give every row of a stack the one-polygon verdict
 
 
@@ -800,12 +875,17 @@ def test_stacked_convexity_classes(z):
 def test_simple_spans_pair_blocks():
     # more side pairs than one block holds: per row at n = 200, and per stack
     # of 8-gons; swapping two neighbours of a regular polygon crosses the
-    # sides around them, in the first, a middle or the last block of pairs
+    # sides around them, in the first, a middle or the last block of pairs.
+    # The other rows have vertex 1 pulled halfway in: simple, but not convex,
+    # so they go through every block too
     for n, swaps in ((200, [None, 3, 100, 196, None]), (8, [None, 0, 5, 7] * 300)):
         z = np.tile(np.exp(2j * np.pi * np.arange(n) / n), (len(swaps), 1))
         for row, k in zip(z, swaps):
-            if k is not None:
+            if k is None:
+                row[1] *= 0.5
+            else:
                 row[[k, (k + 1) % n]] = row[[(k + 1) % n, k]]
+        assert not (_convexity_classes(z)[0] == ConvexityTag.STRICTLY_CONVEX).any()
         assert z.shape[0] * n * (n - 3) // 2 > 2 * _PAIR_BLOCK
         got = [bool(v) for v in _simple(z)]
         assert got == [ref_is_simple(row) for row in z] == [k is None for k in swaps]
