@@ -167,13 +167,13 @@ def check_convexity_preservation(traj: Trajectory) -> CheckReport:
     the minimum orientation-corrected H value.  Raises
     :class:`PreconditionNotConvexError` when the initial state is not convex.
     """
-    tags, _, h = geometry._convexity_classes(traj.z)
+    tags, h_min = traj._convexity
     if tags[0] is ConvexityTag.NOT_CONVEX:
         raise PreconditionNotConvexError("initial state is not convex")
     # times strictly increase from 0, so only row 0 is the initial state
     bad = np.flatnonzero(tags[1:] != ConvexityTag.STRICTLY_CONVEX)
     first = float(traj.times[bad[0] + 1]) if bad.size else None
-    worst = float(h[1:].min()) if len(traj) > 1 else math.inf
+    worst = float(h_min[1:].min()) if len(traj) > 1 else math.inf
     return _report("convexity_preservation", first, worst, len(traj) - 1)
 
 
@@ -183,7 +183,7 @@ def check_area_monotone(traj: Trajectory) -> CheckReport:
     Only meaningful for simple polygons: raises :class:`NotSimpleError` if any
     sample fails :func:`polyshort.geometry.is_simple`.
     """
-    if not geometry._simple(traj.z).all():
+    if not traj._simple.all():
         raise NotSimpleError("trajectory contains a non-simple sample")
     return _monotone_report("area_monotone", traj.times, np.abs(traj.signed_area))
 

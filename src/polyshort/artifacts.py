@@ -196,10 +196,9 @@ def read_trajectory_csv(path) -> Trajectory:
     if prefix != "# termination" or reason.strip() not in Termination.__members__:
         raise ValueError(f"{path}: missing or unknown termination line {lines[-1]!r}")
     try:
-        rows = [[float(v) for v in ln.split(",")] for ln in lines[1:-1]]
-        if any(len(row) != len(header) for row in rows):
+        table = np.loadtxt(lines[1:-1], delimiter=",", comments=None, ndmin=2)  # a "#" row is an error
+        if table.shape[1] != len(header):
             raise ValueError(f"a row does not have the header's {len(header)} fields")
-        table = np.array(rows)
         if not np.isfinite(table).all():
             raise ValueError("non-finite value in a row")
         traj = Trajectory(table[:, 0], table[:, 1 : 2 * n + 1].view(np.complex128), Termination[reason.strip()])

@@ -77,8 +77,8 @@ MAX_VERTICES = 1000
 
 
 def _check_n(n, what: str) -> None:
-    if n is None or not 3 <= n <= MAX_VERTICES:
-        raise ValueError(f"{what} must be within [3, {MAX_VERTICES}], not {n}")
+    if not isinstance(n, (int, np.integer)) or not 3 <= n <= MAX_VERTICES:
+        raise ValueError(f"{what} must be within [3, {MAX_VERTICES}] and an integer, not {n}")
 
 
 @dataclass(frozen=True)

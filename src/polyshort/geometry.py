@@ -477,14 +477,14 @@ def _sides_meet(a, b, c, d):
     return meet
 
 
-def _simple(z: np.ndarray) -> np.ndarray:
-    """Per row of the ``(S, n)`` stack ``z``: is that circuit simple (see :func:`is_simple`)?
+def _simple(z: np.ndarray, tags: np.ndarray) -> np.ndarray:
+    """Per row of the ``(S, n)`` stack ``z`` with :func:`_convexity_classes` ``tags``: is it simple?
 
-    A STRICTLY_CONVEX row is exactly simple; only the other fold-free rows take the pair test.
+    A STRICTLY_CONVEX row is exactly simple; only the other fold-free rows take the pair test (see :func:`is_simple`).
     """
     zn = _next(z)
     simple = ~_folds(_prev(z) - z, zn - z).any(axis=-1)
-    strict = _convexity_classes(z)[0] == ConvexityTag.STRICTLY_CONVEX
+    strict = tags == ConvexityTag.STRICTLY_CONVEX
     # side k runs from vertex k to k+1; test the pairs i < j that share no vertex
     n = z.shape[-1]
     k = np.arange(n)
@@ -512,7 +512,7 @@ def is_simple(poly: Polygon) -> bool:
     touching within ``PREDICATE_TOL`` of the local scale counts as meeting.  Adjacent
     sides meet only at their shared vertex: one doubling back makes it non-simple.
     """
-    return bool(_simple(poly.z[None])[0])
+    return bool(_simple(poly.z[None], _convexity_classes(poly.z[None])[0])[0])
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ and record rules, applied to a block of states at a time.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -83,10 +84,21 @@ class SimConfig:
             raise ValueError("dt must be positive and finite")
         if not 0.0 <= self.stop_diameter < math.inf:
             raise ValueError("stop_diameter must be nonnegative and finite")
-        if self.record_every < 1:
-            raise ValueError("record_every must be at least 1")
+        if not isinstance(self.record_every, (int, np.integer)) or self.record_every < 1:
+            raise ValueError("record_every must be an integer of at least 1")
         if self.min_edge_capture is not None and not 0.0 <= self.min_edge_capture < math.inf:
             raise ValueError("min_edge_capture must be nonnegative and finite")
+
+
+def _derived(fn):
+    # a Trajectory value derived on first read, then read-only; an unstable run's states may overflow
+    @np.errstate(over="ignore", invalid="ignore")
+    def get(self):
+        value = fn(self)
+        for a in value if isinstance(value, tuple) else (value,):
+            a.flags.writeable = False
+        return value
+    return functools.cached_property(get)
 
 
 # eq=False keeps the bit-for-bit __eq__ below and leaves the class unhashable
@@ -97,18 +109,13 @@ class Trajectory:
     ``z`` is the read-only ``(S, n)`` complex array of the S recorded states,
     one row per sample; ``states`` derives :class:`Polygon` views of its rows.
     ``times`` has one entry per row, starts at 0 and strictly increases, or
-    construction raises ``ValueError``.  ``perimeter``, ``signed_area``,
-    ``min_f``, ``min_h`` (smallest F_i, H_i) and ``min_edge`` come from ``z``.
+    construction raises ``ValueError``.  ``perimeter``, ``signed_area``, ``min_f``, ``min_h``
+    (smallest F_i, H_i) and ``min_edge`` are derived from ``z`` on first use, then read-only.
     """
 
     times: np.ndarray
     z: np.ndarray = field(repr=False)
     termination: Termination
-    perimeter: np.ndarray = field(init=False, repr=False)
-    signed_area: np.ndarray = field(init=False, repr=False)
-    min_f: np.ndarray = field(init=False, repr=False)
-    min_h: np.ndarray = field(init=False, repr=False)
-    min_edge: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         times = np.array(self.times, dtype=np.float64)
@@ -117,19 +124,20 @@ class Trajectory:
             raise ValueError("need one time per row of an (S, n) array of states")
         if times.size and (times[0] != 0.0 or not (np.diff(times) > 0.0).all()):
             raise ValueError("times must start at 0 and strictly increase")
-        edges = geometry._edge_lengths(z)
-        columns = {
-            "times": times,
-            "z": z,
-            "perimeter": edges.sum(axis=-1),
-            "signed_area": geometry._signed_area(z),
-            "min_f": geometry._star_values(z).min(axis=-1),
-            "min_h": geometry._convexity_values(z).min(axis=-1),
-            "min_edge": edges.min(axis=-1),
-        }
-        for name, value in columns.items():
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
+        times.flags.writeable = z.flags.writeable = False
+        self.__dict__.update(times=times, z=z)
+
+    perimeter = _derived(lambda self: geometry._edge_lengths(self.z).sum(axis=-1))
+    signed_area = _derived(lambda self: geometry._signed_area(self.z))
+    min_f = _derived(lambda self: geometry._star_values(self.z).min(axis=-1))
+    min_h = _derived(lambda self: geometry._convexity_values(self.z).min(axis=-1))
+    min_edge = _derived(lambda self: geometry._edge_lengths(self.z).min(axis=-1))
+    _simple = _derived(lambda self: geometry._simple(self.z, self._convexity[0]))
+
+    @_derived
+    def _convexity(self):  # each sample's ConvexityTag and smallest oriented H value
+        tags, _, h = geometry._convexity_classes(self.z)
+        return tags, h.min(axis=-1)
 
     @property
     def states(self) -> list:
@@ -338,11 +346,10 @@ def run(poly: Polygon, flow: FlowSpec, cfg: SimConfig) -> Trajectory:
             except FlowDegeneracyError:
                 termination = Termination.DEGENERATE
                 break
-        if np.concatenate(rec_t)[-1] != final[0][0]:
-            rec_t.append(final[0])
-            rec_z.append(final[1])
-        # the diagnostics of a state near overflow may overflow in turn
-        return Trajectory(np.concatenate(rec_t), np.concatenate(rec_z), termination)
+    if np.concatenate(rec_t)[-1] != final[0][0]:
+        rec_t.append(final[0])
+        rec_z.append(final[1])
+    return Trajectory(np.concatenate(rec_t), np.concatenate(rec_z), termination)
 
 
 class TrajectoryPredicate(enum.Enum):
@@ -365,7 +372,7 @@ def detect_first(traj: Trajectory, predicate: TrajectoryPredicate):
         mag = np.abs(traj.signed_area)
         hits = np.flatnonzero(mag[1:] > mag[:-1])
     elif predicate is TrajectoryPredicate.BECOMES_STRICTLY_CONVEX:
-        hits = np.flatnonzero(geometry._convexity_classes(traj.z)[0] == ConvexityTag.STRICTLY_CONVEX)
+        hits = np.flatnonzero(traj._convexity[0] == ConvexityTag.STRICTLY_CONVEX)
     else:
-        hits = np.flatnonzero(~geometry._simple(traj.z))
+        hits = np.flatnonzero(~traj._simple)
     return float(traj.times[hits[0]]) if hits.size else None

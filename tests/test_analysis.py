@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from polyshort import geometry
 from polyshort.analysis import (
     CheckReport,
     NotSimpleError,
@@ -23,7 +24,8 @@ from polyshort.analysis import (
     report_lines,
     validate_suite,
 )
-from polyshort.cli import _FIG9_VERTICES
+from polyshort.artifacts import write_trajectory_csv
+from polyshort.cli import _FIG9_VERTICES, cli_main
 from polyshort.flows import (
     BisectorSpeedMode,
     CoincidentVerticesError,
@@ -32,7 +34,7 @@ from polyshort.flows import (
 )
 from polyshort.generators import _BOOMERANG_VERTICES, GeneratorKind, GeneratorSpec, generate
 from polyshort.geometry import Polygon, perimeter
-from polyshort.simulate import SimConfig, Termination, Trajectory, run
+from polyshort.simulate import SimConfig, Termination, Trajectory, TrajectoryPredicate, detect_first, run
 from polyshort.spectral import DegenerateLeadingModeError, eigenvalues, leading_decay_rate
 
 UNIT_SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -326,3 +328,38 @@ def test_validate_suite_names_its_own_parameter(size):
     # the library names its argument; the command line names its flag
     with pytest.raises(ValueError, match=rf"^ensemble_size must be at least 1, not {size}$"):
         validate_suite(size, 1)
+
+
+def counting(monkeypatch, module, name):
+    """Patch ``module.name`` to record each call; returns the list of calls."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_analyze_classifies_convexity_once(tmp_path, monkeypatch, capsys):
+    poly = generate(GeneratorSpec(GeneratorKind.RANDOM_CONVEX, n=12), 5)
+    path = tmp_path / "convex.csv"
+    write_trajectory_csv(run(poly, FlowSpec.linear(), SimConfig(t_end=3.0, dt=0.01)), path)
+    classified = counting(monkeypatch, geometry, "_convexity_classes")
+    assert cli_main(["analyze", "--csv", str(path), "--checks", "convex,area"]) == 0
+    assert "convexity_preservation" in capsys.readouterr().out
+    assert len(classified) == 1
+
+
+def test_area_check_and_simplicity_loss_share_one_pair_test(monkeypatch):
+    loss = generate(GeneratorSpec(GeneratorKind.EMBEDDED_LOSS), 0)
+    traj = run(loss, FlowSpec.linear(), SimConfig(t_end=1.5, dt=1e-3, record_every=10))
+    pairs = counting(monkeypatch, geometry, "_sides_meet")
+    geometry._simple(traj.z, geometry._convexity_classes(traj.z)[0])
+    once = len(pairs)
+    assert once > 0
+    with pytest.raises(NotSimpleError):
+        check_area_monotone(traj)
+    assert detect_first(traj, TrajectoryPredicate.LOSES_SIMPLICITY) is not None
+    assert len(pairs) == 2 * once

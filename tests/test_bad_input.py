@@ -275,3 +275,30 @@ def test_csv_header_beyond_vertex_bound():
             read_trajectory_csv(path)
         code, _, err = cli(["analyze", "--csv", path])
     assert code == 2 and "within [3, 1000]" in err
+
+
+def _edited_row(edit):
+    # BASE_CSV with its second data row edited
+    lines = BASE_CSV.split("\n")
+    lines[2] = edit(lines[2])
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda row: row.rsplit(",", 1)[0], "number of columns"),
+        (lambda row: row.replace(",", ",x", 1), "could not convert"),
+        # loadtxt's default would skip a "#" line; here it is an error
+        (lambda row: "# " + row, "could not convert"),
+    ],
+)
+def test_analyze_bad_csv_row_is_one_error_line(tmp_path, edit, message):
+    path = tmp_path / "t.csv"
+    path.write_text(_edited_row(edit), encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        read_trajectory_csv(path)
+    code, _, err = cli(["analyze", "--csv", path, "--checks", "perimeter"])
+    assert code == 2
+    assert_clean(code, err)
+    assert err.startswith(f"error: {path}: ")

@@ -75,6 +75,15 @@ class TestGeneratorSpec:
         with pytest.raises(ValueError):
             GeneratorSpec(GeneratorKind.RANDOM_CONVEX, n=1001)
 
+    @pytest.mark.parametrize(
+        "kind", [GeneratorKind.REGULAR, GeneratorKind.RANDOM_STAR, GeneratorKind.RANDOM_CONVEX, GeneratorKind.COLLINEAR]
+    )
+    def test_n_must_be_an_integer(self, kind):
+        for n in (5.0, 5.5):
+            with pytest.raises(ValueError, match="integer"):
+                GeneratorSpec(kind, n=n)
+        assert generate(GeneratorSpec(kind, n=np.int64(5)), 1).n == 5
+
     def test_radius_range_validated(self):
         with pytest.raises(ValueError):
             GeneratorSpec(GeneratorKind.RANDOM_STAR, n=5, radius_range=(0.0, 1.0))
@@ -279,6 +288,25 @@ class TestTrajectoryCsv:
         assert np.array_equal(back.min_edge, traj.min_edge)
         for a, b in zip(back.states, traj.states):
             assert np.array_equal(a.z, b.z)
+
+    def test_roundtrip_bit_exact_at_the_ends_of_the_range(self, tmp_path):
+        # signed zeros, a subnormal and +-1e300, with every diagnostic finite
+        tiny = 5e-324
+        z = np.array(
+            [
+                [1e300, -0.0 + tiny * 1j, -1e300 - 0.0j, tiny - tiny * 1j],
+                [1e300 - 0.0j, -tiny, -1e300 + tiny * 1j, -0.0 - 0.0j],
+                [-0.0, 1e300 + tiny * 1j, tiny, -1e300],
+            ]
+        )
+        traj = Trajectory(np.array([-0.0, tiny, 1e300]), z, Termination.T_END)
+        path = tmp_path / "t.csv"
+        write_trajectory_csv(traj, path)
+        back = read_trajectory_csv(path)
+        for name in ("times", "z", "perimeter", "signed_area", "min_f", "min_h", "min_edge"):
+            a, b = getattr(back, name), getattr(traj, name)
+            assert np.isfinite(b).all()
+            assert a.tobytes() == b.tobytes(), name
 
     def test_rejects_empty_trajectory(self, tmp_path):
         empty = Trajectory(times=np.array([]), z=np.empty((0, 3), complex), termination=Termination.T_END)

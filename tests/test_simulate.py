@@ -1,5 +1,6 @@
 """Integrator and trajectory bookkeeping: accuracy, stopping, detection."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,9 @@ from polyshort.simulate import (
     step_rk4,
 )
 from polyshort.spectral import closed_form_state, decompose, eigenvalues
+
+# every value a Trajectory derives from its states
+DERIVED = ("perimeter", "signed_area", "min_f", "min_h", "min_edge", "_convexity", "_simple")
 
 UNIT_SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 DIAMOND = Polygon([(1, 0), (0, 1), (-1, 0), (0, -1)])
@@ -44,6 +48,9 @@ class TestSimConfig:
             SimConfig(t_end=1.0, stop_diameter=-1.0)
         with pytest.raises(ValueError):
             SimConfig(t_end=1.0, record_every=0)
+        for bad in (2.5, 2.0):
+            with pytest.raises(ValueError, match="integer"):
+                SimConfig(t_end=1.0, record_every=bad)
         with pytest.raises(ValueError):
             SimConfig(t_end=1.0, min_edge_capture=-1e-6)
         # construction only: a non-finite config must never reach run()
@@ -70,6 +77,30 @@ class TestTrajectory:
         assert traj.perimeter.tolist() == [4.0]
         with pytest.raises(ValueError):
             traj.perimeter[0] = 0.0
+
+    def test_fields_are_times_states_and_termination(self):
+        assert [f.name for f in dataclasses.fields(Trajectory)] == ["times", "z", "termination"]
+
+    def test_derived_values_are_read_only_and_computed_once(self):
+        traj = run(DIAMOND, FlowSpec.linear(), SimConfig(t_end=0.3, dt=0.01, record_every=5))
+        for name in DERIVED:
+            value = getattr(traj, name)
+            assert getattr(traj, name) is value
+            for a in value if isinstance(value, tuple) else (value,):
+                assert a.shape == (len(traj),) and not a.flags.writeable
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(traj, name, value)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_run_derives_without_warning(self):
+        # the unstable digest scenario: dt = 2 is past RK4's stability edge, and
+        # the states grow until they overflow
+        quad = Polygon([(0, 0), (2, 0), (1, 1), (0, 1)])
+        traj = run(quad, FlowSpec.linear(), SimConfig(t_end=1e4, dt=2.0, record_every=100))
+        assert traj.termination is Termination.DEGENERATE
+        for name in DERIVED:
+            getattr(traj, name)
+        assert not np.isfinite(traj.perimeter[-1])
 
     def test_equality_is_bit_for_bit(self):
         cfg = SimConfig(t_end=0.3, dt=0.01, record_every=5)
