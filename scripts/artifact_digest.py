@@ -11,8 +11,9 @@ Menger-Melnikov run of a generator polygon, a Menger-Melnikov run of a
 polygon with a straight vertex, a UNIT-speed bisector run, a densely recorded
 linear run of a convex polygon and a linear run of the ``embedded_loss``
 fixture), the CSV and summary JSON of the Menger-Melnikov run of the seed-11
-256-gon that stops being a star and of a linear run whose step is past
-RK4's stability edge, so that its states overflow, and the ``analyze`` report
+256-gon that stops being a star, of a linear run whose step is past RK4's
+stability edge, so that its states overflow, and of a Menger-Melnikov run
+that ends when its step no longer advances the time, and the ``analyze`` report
 JSON of every check on ``fig8.csv`` and on the CSV of the first, fourth and
 fifth scenario, then prints ``<sha256>  <file>`` for each file in name order.  Run it before
 and after a change and diff the two outputs: any difference is a changed
@@ -109,6 +110,16 @@ _SCENARIOS = [
         "polygon": {"vertices": [[0, 0], [2, 0], [1, 1], [0, 1]]},
         "flow": {"kind": "linear"},
         "sim": {"t_end": 1e4, "dt": 2.0, "record_every": 100},
+        "outputs": ["csv", "report_json"],
+    },
+    # the regular pentagon shrinks under the Menger-Melnikov flow until the
+    # curvature cap leaves a step too small to advance the time: the run ends
+    # DEGENERATE after 254 steps, and its last sample is off the stride
+    {
+        "name": "mm_stall",
+        "polygon": {"generator": {"kind": "regular", "n": 5}},
+        "flow": {"kind": "menger_melnikov"},
+        "sim": {"t_end": 1e6, "dt": 1, "stop_diameter": 0, "record_every": 7},
         "outputs": ["csv", "report_json"],
     },
 ]

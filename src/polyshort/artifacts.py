@@ -177,6 +177,14 @@ def _write_csv(path, header, columns, tail=()) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _table(rows) -> np.ndarray:
+    # the numbers of the CSV rows, a row each, or a (0, 0) array where loadtxt reads none
+    try:
+        return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)  # a "#" row is an error
+    except ValueError:
+        return np.empty((0, 0))
+
+
 def read_trajectory_csv(path) -> Trajectory:
     """Parse a file written by :func:`write_trajectory_csv`, bit-exactly.
 
@@ -196,11 +204,12 @@ def read_trajectory_csv(path) -> Trajectory:
     if prefix != "# termination" or reason.strip() not in Termination.__members__:
         raise ValueError(f"{path}: missing or unknown termination line {lines[-1]!r}")
     try:
-        table = np.loadtxt(lines[1:-1], delimiter=",", comments=None, ndmin=2)  # a "#" row is an error
+        table = _table(lines[1:-1])
         if table.shape[1] != len(header):
-            raise ValueError(f"a row does not have the header's {len(header)} fields")
+            k = next(k for k, row in enumerate(lines[1:-1], start=1) if _table([row]).shape[1] != len(header))
+            raise ValueError(f"data row {k} is not {len(header)} comma-separated numbers")
         if not np.isfinite(table).all():
-            raise ValueError("non-finite value in a row")
+            raise ValueError(f"data row {np.isfinite(table).all(axis=1).argmin() + 1} holds a non-finite value")
         traj = Trajectory(table[:, 0], table[:, 1 : 2 * n + 1].view(np.complex128), Termination[reason.strip()])
         # bit for bit: 17 digits round-trip and the derivation is deterministic
         for k, (name, attr) in enumerate(_CSV_COLUMNS.items(), start=2 * n + 1):

@@ -60,7 +60,7 @@ _TWO_PI = 2.0 * np.pi
 # alone has more.
 _DISTANCE_BLOCK = 4096
 
-# _by_diameter widens its bracket by this times (r + n max|z|): more than the
+# _diameter_bracket widens its bracket by this times (r + n max|z|): more than the
 # rounding of the centroid, of r and of the diameter can move either side.
 _BRACKET_ULPS = 16.0 * np.finfo(np.float64).eps
 
@@ -171,21 +171,25 @@ def _diameters(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _by_diameter(z: np.ndarray, test):
-    """``test(_diameters(z))`` for the ``(S, n)`` stack ``z``, with few exact diameters.
-
-    ``test`` maps an ``(S,)`` array of diameters to booleans of shape ``(S,)``
-    or ``(S, k)``, each monotone in its row's diameter.  With r = max|z - g|
-    about the centroid g, r <= diameter <= 2 r.  The test runs at both ends of
-    this bracket, widened by a rounding margin, and only the rows where the
-    two answers differ, or the bracket is NaN, get the exact diameter.
-    """
+def _diameter_bracket(z: np.ndarray):
+    """``(lo, hi)`` about ``_diameters(z)``: r <= diameter <= 2 r, r = max|z - g| about the centroid g."""
     n = z.shape[-1]
     r = np.abs(z - z.sum(axis=-1, keepdims=True) / n).max(axis=-1)
     margin = _BRACKET_ULPS * (r + n * np.abs(z).max(axis=-1))
     # clipped at 0: a test of d**2 is monotone only for d >= 0; lo is NaN
     # wherever hi is
-    lo, hi = np.maximum(r - margin, 0.0), 2.0 * r + margin
+    return np.maximum(r - margin, 0.0), 2.0 * r + margin
+
+
+def _by_diameter(z: np.ndarray, test):
+    """``test(_diameters(z))`` for the ``(S, n)`` stack ``z``, with few exact diameters.
+
+    ``test`` maps an ``(S,)`` array of diameters to booleans of shape ``(S,)``
+    or ``(S, k)``, each monotone in its row's diameter.  The test runs at both
+    ends of the rounding-widened :func:`_diameter_bracket`, and only the rows
+    where the two answers differ, or the bracket is NaN, get the exact diameter.
+    """
+    lo, hi = _diameter_bracket(z)
     out = test(hi)
     differ = out != test(lo)
     if differ.ndim > 1:

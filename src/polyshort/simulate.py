@@ -207,19 +207,19 @@ def _stepped_states(z: np.ndarray, flow: FlowSpec, cfg: SimConfig):
     # RK4 steps of the vertices, in blocks of up to _STEP_BLOCK end times and
     # states.  A block ends early after a step that the curvature cap
     # shortened, as the rest of its times no longer apply.  A field that is
-    # undefined, or a step too small to advance the time, ends a block, and
-    # the next request raises FlowDegeneracyError.
+    # undefined, or a step too small to advance the time, ends the last block
+    # with a NaN state.
     fld = _field_function(flow)
     adaptive = cfg.adaptive and flow.kind is FlowKind.MENGER_MELNIKOV
     t = 0.0
     while True:
         ends, last = _fixed_steps(t, cfg, _STEP_BLOCK)
         ts, zs = [], []
-        try:
-            for j, end in enumerate(ends.tolist()):
-                dt_eff = cfg.t_end - t if last and j == ends.size - 1 else cfg.dt
+        for j, end in enumerate(ends.tolist()):
+            dt_eff = cfg.t_end - t if last and j == ends.size - 1 else cfg.dt
+            capped = False
+            try:
                 k1 = fld(z)
-                capped = False
                 if adaptive:
                     vmax = float(np.abs(k1).max())
                     if vmax > 0.0:
@@ -230,15 +230,14 @@ def _stepped_states(z: np.ndarray, flow: FlowSpec, cfg: SimConfig):
                 if dt_eff < 1e-15 * cfg.dt or t + dt_eff == t:
                     raise FlowDegeneracyError("step too small to advance the time")
                 z = _rk4(z, fld, dt_eff, k1)
-                t = end
-                ts.append(t)
-                zs.append(z)
-                if capped:
-                    break
-        except FlowDegeneracyError:
-            if ts:
-                yield np.array(ts), np.array(zs)
-            raise
+            except FlowDegeneracyError:
+                yield np.array(ts + [end]), np.array(zs + [np.full_like(z, np.nan)])
+                return
+            t = end
+            ts.append(t)
+            zs.append(z)
+            if capped:
+                break
         yield np.array(ts), np.array(zs)
 
 
@@ -266,42 +265,40 @@ def _modal_states(z: np.ndarray, cfg: SimConfig):
         yield ts, np.fft.ifft(c[1:], axis=-1, norm="forward")
 
 
-def _collapsed(z: np.ndarray, stop: float) -> np.ndarray:
-    # geometry._diameter(row) < stop for each row of the (k, n) stack z, decided
-    # exactly; only rows whose diameter bracket straddles stop get the diameter
-    return geometry._by_diameter(z, lambda d: d < stop)
-
-
 def _capture_test(poly: Polygon, flow: FlowSpec, cfg: SimConfig):
     # For the bisector flow, the function that tells which shortest edges of a
     # block are below the capture threshold; None for the other flows.  The
     # default threshold, 1e-6 times the initial diameter, is decided against
-    # the initial polygon's diameter bracket, and its exact diameter is taken
-    # only for a block with an edge inside the band.
+    # the initial polygon's diameter bracket, taken once; its exact diameter
+    # is taken once, for the first block with an edge inside the band.
     if flow.kind is not FlowKind.BISECTOR:
         return None
     capture = cfg.min_edge_capture
     if capture is not None:
         return lambda e: e < capture
-    z0 = poly.z[None]
-    return lambda e: geometry._by_diameter(z0, lambda d: e < 1e-6 * d[:, None])[0]
+    lo, hi = (1e-6 * end[0] for end in geometry._diameter_bracket(poly.z[None]))
+    exact = functools.cache(lambda: 1e-6 * geometry._diameters(poly.z[None])[0])
+    return lambda e: e < (exact() if math.isnan(lo) or ((e < lo) != (e < hi)).any() else hi)
 
 
 def _first_stop(z: np.ndarray, ts: np.ndarray, steps: int, cfg: SimConfig, captured):
-    # The first row of the (k, n) stack z at which the run stops, and why; or
-    # (k, None).  Row i is the state at time ts[i] after steps + i steps.  At
-    # one state the rules go in the order collapse, capture (if captured, from
-    # _capture_test, is not None), end of time, MAX_STEPS (read at call time,
-    # so a patched cap holds).
-    k = ts.size
-    rules = [(Termination.COLLAPSED, _collapsed(z, cfg.stop_diameter))]
+    # How many rows of the (k, n) stack z the run reaches, and why it stops at
+    # the last of them; or (k, None).  Row i is the state at time ts[i] after
+    # steps + i steps.  The first non-finite row ends the run DEGENERATE at the
+    # row before it.  At each finite state the rules go in the order collapse,
+    # capture (if captured, from _capture_test, is not None), end of time,
+    # MAX_STEPS (read at call time, so a patched cap holds).
+    finite = np.isfinite(z).all(axis=-1)
+    k = ts.size if finite.all() else int(finite.argmin())
+    z, ts = z[:k], ts[:k]
+    rules = [(Termination.COLLAPSED, geometry._by_diameter(z, lambda d: d < cfg.stop_diameter))]
     if captured is not None:
         rules.append((Termination.CAPTURE, captured(geometry._edge_lengths(z).min(axis=-1))))
     rules.append((Termination.T_END, ~_time_left(ts, cfg)))
     i = min([int(hit.argmax()) for _, hit in rules if hit.any()] + [max(MAX_STEPS - steps, 0), k])
-    if i == k:
-        return k, None
-    return i, next((reason for reason, hit in rules if hit[i]), Termination.MAX_STEPS)
+    if i < k:
+        return i + 1, next((reason for reason, hit in rules if hit[i]), Termination.MAX_STEPS)
+    return k, None if k == finite.size else Termination.DEGENERATE
 
 
 def run(poly: Polygon, flow: FlowSpec, cfg: SimConfig) -> Trajectory:
@@ -315,7 +312,8 @@ def run(poly: Polygon, flow: FlowSpec, cfg: SimConfig) -> Trajectory:
     The linear flow takes its RK4 steps per Fourier mode, a block of them at
     a time; the other flows step the vertices.  The collapse test and the
     default capture threshold use the diameter only where its O(n) bracket
-    cannot decide them (see ``geometry._by_diameter``).
+    cannot decide them (see ``geometry._by_diameter``); the capture
+    threshold's bracket is taken once per run.
     """
     captured = _capture_test(poly, flow, cfg)
     blocks = _modal_states(poly.z, cfg) if flow.kind is FlowKind.LINEAR else _stepped_states(poly.z, flow, cfg)
@@ -326,12 +324,7 @@ def run(poly: Polygon, flow: FlowSpec, cfg: SimConfig) -> Trajectory:
     # an unstable step overflows; its non-finite state ends the run DEGENERATE
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            finite = np.isfinite(z).all(axis=-1)
-            valid = finite.size if finite.all() else int(finite.argmin())
-            i, termination = _first_stop(z[:valid], ts[:valid], steps, cfg, captured)
-            reached = i if termination is None else i + 1
-            if termination is None and valid < finite.size:
-                termination = Termination.DEGENERATE
+            reached, termination = _first_stop(z, ts, steps, cfg, captured)
             # copies, so that a block is freed once its recorded rows are kept
             first = -steps % cfg.record_every
             rec_t.append(ts[first:reached:cfg.record_every].copy())
@@ -341,11 +334,7 @@ def run(poly: Polygon, flow: FlowSpec, cfg: SimConfig) -> Trajectory:
             if termination is not None:
                 break
             steps += ts.size
-            try:
-                ts, z = next(blocks)
-            except FlowDegeneracyError:
-                termination = Termination.DEGENERATE
-                break
+            ts, z = next(blocks)
     if np.concatenate(rec_t)[-1] != final[0][0]:
         rec_t.append(final[0])
         rec_z.append(final[1])

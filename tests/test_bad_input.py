@@ -284,19 +284,24 @@ def _edited_row(edit):
     return "\n".join(lines)
 
 
+# the 4-gon's rows hold t, 8 coordinates and 5 diagnostics
+_NOT_14 = "is not 14 comma-separated numbers"
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda row: row.rsplit(",", 1)[0], "number of columns"),
-        (lambda row: row.replace(",", ",x", 1), "could not convert"),
+        (lambda row: row.rsplit(",", 1)[0], _NOT_14),
+        (lambda row: row.replace(",", ",x", 1), _NOT_14),
         # loadtxt's default would skip a "#" line; here it is an error
-        (lambda row: "# " + row, "could not convert"),
+        (lambda row: "# " + row, _NOT_14),
+        (lambda row: "nan" + row[row.index(",") :], "holds a non-finite value"),
     ],
 )
 def test_analyze_bad_csv_row_is_one_error_line(tmp_path, edit, message):
     path = tmp_path / "t.csv"
     path.write_text(_edited_row(edit), encoding="utf-8")
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=rf"t\.csv: data row 2 {message}$"):
         read_trajectory_csv(path)
     code, _, err = cli(["analyze", "--csv", path, "--checks", "perimeter"])
     assert code == 2

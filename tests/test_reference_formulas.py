@@ -35,7 +35,9 @@ states within a few units in the last place) and, bit for bit, for the
 stepped flows.
 """
 
+import itertools
 import math
+import sys
 import tempfile
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -78,6 +80,7 @@ from polyshort.geometry import (  # noqa: E402
     ConvexityTag,
     Polygon,
     StarTag,
+    _by_diameter,
     _circumcircle_terms,
     _collinear,
     _convexity_classes,
@@ -109,7 +112,6 @@ from polyshort.simulate import (  # noqa: E402
     SimConfig,
     Termination,
     Trajectory,
-    _collapsed,
     run,
     step_rk4,
 )
@@ -1229,7 +1231,7 @@ def test_collapse_test_is_exact(z, row, which):
         "zero": 0.0,
     }[which]
     expected = d < stop
-    got = _collapsed(z, stop)
+    got = _by_diameter(z, lambda d: d < stop)
     first = int(expected.argmax()) if expected.any() else len(z)
     assert not got[:first].any()
     assert first == len(z) or got[first]
@@ -1304,7 +1306,7 @@ def test_default_capture_band(exact_rows, side):
     flow = FlowSpec.bisector()
     cfg = SimConfig(t_end=0.05, dt=1e-3)
     got = run(poly, flow, cfg)
-    assert exact_rows and set(exact_rows) == {1}
+    assert exact_rows == [1]
     assert got == ref_run(poly, flow, cfg)
     # captured at once below the threshold; otherwise the bisectors at the
     # short edge diverge and it grows
@@ -1312,6 +1314,73 @@ def test_default_capture_band(exact_rows, side):
         assert got.termination is Termination.CAPTURE and len(got) == 1
     else:
         assert got.termination is Termination.T_END
+
+
+def test_default_capture_takes_the_initial_bracket_once(monkeypatch, exact_rows):
+    # a square with two straight vertices 3e-6 apart on its top edge: its
+    # diameter is 2 sqrt 2 and its bracket about [1.67, 3.33], so the shortest
+    # edge lies between the capture threshold and the band's top all run; over
+    # seven blocks of steps the capture test still forms the bracket of the
+    # initial polygon once, and takes its exact diameter once
+    z0 = np.array([[-1 - 1j, 1 - 1j, 1 + 1j, 1.5e-6 + 1j, -1.5e-6 + 1j, -1 + 1j]])
+    brackets = []
+    bracket = geometry._diameter_bracket
+
+    def counted(z):
+        brackets.append(z.shape == z0.shape and bool((z == z0).all()))
+        return bracket(z)
+
+    monkeypatch.setattr(geometry, "_diameter_bracket", counted)
+    poly, flow, cfg = Polygon(z0[0]), FlowSpec.bisector(), SimConfig(t_end=5e-4, dt=1e-5)
+    got = run(poly, flow, cfg)
+    assert got.termination is Termination.T_END
+    assert (got.min_edge > 1e-6 * poly.diameter()).all() and got.min_edge.min() > 2.99e-6
+    # the collapse test brackets the initial state and each of the 7 blocks;
+    # the capture test brackets z0 once
+    assert len(brackets) == 9 and brackets.count(True) == 2
+    assert exact_rows == [1]
+    assert got == ref_run(poly, flow, cfg)
+
+
+def _raising_fields(n_eval):
+    """A stand-in for ``_field_function`` whose fields raise on their ``n_eval``-th evaluation."""
+    field_function = simulate._field_function
+
+    def make(flow):
+        fld, count = field_function(flow), itertools.count(1)
+
+        def raising(z):
+            if next(count) == n_eval:
+                raise FlowDegeneracyError("undefined here")
+            return fld(z)
+
+        return raising
+
+    return make
+
+
+@pytest.mark.parametrize("flow", [FlowSpec.menger_melnikov(), FlowSpec.bisector()], ids=["mm", "bisector"])
+@pytest.mark.parametrize("record_every", [1, 3])
+@pytest.mark.parametrize("collapse", [False, True])
+def test_raised_degeneracy_at_each_block_row(monkeypatch, flow, record_every, collapse):
+    # four field evaluations a step: the failing step falls on each row of the
+    # first two blocks of _STEP_BLOCK = 8 steps and on the first of the third,
+    # at each of the four stages in turn; with collapse, the run collapses at
+    # step 5, and only a failure before that step ends it DEGENERATE
+    poly = generate(GeneratorSpec(GeneratorKind.RANDOM_STAR, n=7), 2)
+    cfg = SimConfig(t_end=0.03, dt=1e-3, stop_diameter=0.0, record_every=record_every)
+    if collapse:
+        d = [_diameter(row) for row in ref_run(poly, flow, replace(cfg, t_end=0.006, record_every=1)).z]
+        cfg = replace(cfg, stop_diameter=0.5 * (d[4] + d[5]))
+    module = sys.modules[__name__]
+    for n_eval in range(1, 4 * 17 + 1, 3):
+        monkeypatch.setattr(simulate, "_field_function", _raising_fields(n_eval))
+        monkeypatch.setattr(module, "_field_function", _raising_fields(n_eval))
+        expected = ref_run(poly, flow, cfg)
+        assert run(poly, flow, cfg) == expected
+        late = collapse and n_eval > 4 * 5
+        assert expected.termination is (Termination.COLLAPSED if late else Termination.DEGENERATE)
+        monkeypatch.undo()
 
 
 def test_well_separated_rows_need_no_exact_diameter(monkeypatch):
