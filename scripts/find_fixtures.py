@@ -102,7 +102,7 @@ def find_boomerang(seed: int, attempts: int = 4000):
         traj = ps.run(
             poly, ps.FlowSpec.linear(), ps.SimConfig(t_end=2.0, dt=1e-3, record_every=10)
         )
-        if not all(ps.is_simple(s) for s in traj.states):
+        if ps.detect_first(traj, ps.TrajectoryPredicate.LOSES_SIMPLICITY) is not None:
             continue
         aa = np.abs(traj.signed_area)
         if not (aa[1] > aa[0] * (1.0 + 1e-9)):

@@ -167,7 +167,7 @@ def check_convexity_preservation(traj: Trajectory) -> CheckReport:
     the minimum orientation-corrected H value.  Raises
     :class:`PreconditionNotConvexError` when the initial state is not convex.
     """
-    tags, h_min = traj._convexity
+    tags, h_min, _ = traj._convexity
     if tags[0] is ConvexityTag.NOT_CONVEX:
         raise PreconditionNotConvexError("initial state is not convex")
     # times strictly increase from 0, so only row 0 is the initial state

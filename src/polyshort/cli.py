@@ -120,8 +120,8 @@ def _cmd_analyze(args) -> int:
     traj = read_trajectory_csv(args.csv)
     wanted = [c.strip() for c in args.checks.split(",") if c.strip()]
     unknown = [c for c in wanted if c not in _ANALYZE_CHECKS]
-    if unknown:
-        raise ValueError(f"unknown checks: {', '.join(unknown)}")
+    if unknown or not wanted:
+        raise ValueError(f"unknown checks: {', '.join(unknown)}" if unknown else "--checks names no check")
     reports = []
     not_applicable = []
     for name in wanted:

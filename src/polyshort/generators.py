@@ -83,8 +83,8 @@ def _check_n(n, what: str) -> None:
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """What to generate.  ``n`` applies to the parametric kinds (3..MAX_VERTICES);
-    the two fixture kinds carry their own vertex lists."""
+    """What to generate.  ``n`` applies to the parametric kinds (3..MAX_VERTICES), ``radius_range``
+    to RANDOM_STAR alone; the two fixture kinds carry their own vertex lists."""
 
     kind: GeneratorKind
     n: int | None = None

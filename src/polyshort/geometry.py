@@ -181,22 +181,23 @@ def _diameter_bracket(z: np.ndarray):
     return np.maximum(r - margin, 0.0), 2.0 * r + margin
 
 
-def _by_diameter(z: np.ndarray, test):
+def _by_diameter(z: np.ndarray, test, bracket=None):
     """``test(_diameters(z))`` for the ``(S, n)`` stack ``z``, with few exact diameters.
 
     ``test`` maps an ``(S,)`` array of diameters to booleans of shape ``(S,)``
     or ``(S, k)``, each monotone in its row's diameter.  The test runs at both
-    ends of the rounding-widened :func:`_diameter_bracket`, and only the rows
-    where the two answers differ, or the bracket is NaN, get the exact diameter.
+    ends of ``bracket``, by default the rounding-widened :func:`_diameter_bracket`,
+    and only the rows where the two answers differ, or the bracket is NaN, get
+    the exact diameter, which narrows the bracket in place to that diameter.
     """
-    lo, hi = _diameter_bracket(z)
+    lo, hi = _diameter_bracket(z) if bracket is None else bracket
     out = test(hi)
     differ = out != test(lo)
     if differ.ndim > 1:
         differ = differ.any(axis=-1)
     unsure = differ | np.isnan(lo)
     if unsure.any():
-        hi[unsure] = _diameters(z[unsure])
+        lo[unsure] = hi[unsure] = _diameters(z[unsure])
         out = test(hi)
     return out
 
@@ -337,9 +338,10 @@ def _star_classes(z: np.ndarray):
     row, and the F values the angles come from.
     """
     w = z - z.mean(axis=-1, keepdims=True)
+    wn = _next(w)
     r = np.abs(w)
-    f = _star_values(z)
-    alpha = np.arctan2(f, _dot(w, _next(w)))
+    f = _cross(w, wn)
+    alpha = np.arctan2(f, _dot(w, wn))
     total = alpha.sum(axis=-1)
     r_min = r.min(axis=-1)
     radii_ok = _by_diameter(z, lambda d: r_min > PREDICATE_TOL * d)
@@ -391,17 +393,19 @@ class ConvexityClass:
 def _convexity_classes(z: np.ndarray):
     """Per row of the ``(S, n)`` stack ``z``: its :class:`ConvexityTag`, angles and H values.
 
-    Returns ``(tags, internal_angles, h_values)``, an object array and two
-    ``(S, n)`` arrays, as :func:`classify_convexity` reports them for one row.
-    O(n) per row, with no side-pair test: no backward turn, no fold and one full
-    turn, ``sum(pi - beta) = 2*pi``, make a circuit convex and hence simple.
+    Returns ``(tags, internal_angles, h_values, folded)``: an object array and two ``(S, n)``
+    arrays, as :func:`classify_convexity` reports them for one row, and whether each row has a
+    fold, a straight vertex whose sides leave it one way.  O(n) per row, with no side-pair test:
+    no backward turn, no fold and one full turn, ``sum(pi - beta) = 2*pi``, make it convex and simple.
     """
     u = _prev(z) - z
     w = _next(z) - z
+    cross, dot = _cross(u, w), _dot(u, w)
+    folded = (_collinear(cross, np.maximum(_l1(u), _l1(w))) & (dot > 0.0)).any(axis=-1)
     # both orientations from the same crosses: negating one would flip signed zeros
     cw = (_signed_area(z) < 0.0)[:, None]
-    h = np.where(cw, _cross(u, w), _cross(w, u))
-    beta = np.arctan2(h, _dot(u, w))
+    h = np.where(cw, cross, _cross(w, u))
+    beta = np.arctan2(h, dot)
     beta = np.where(beta < 0.0, beta + _TWO_PI, beta)
     h_min, h_max = h.min(axis=-1), h.max(axis=-1)
 
@@ -411,8 +415,8 @@ def _convexity_classes(z: np.ndarray):
 
     strict, no_reflex, some_turn = _by_diameter(z, tests).T
     once = np.abs((np.pi - beta).sum(axis=-1) - _TWO_PI) <= ANGLE_SUM_TOL
-    convex = no_reflex & some_turn & once & ~_folds(u, w).any(axis=-1)
-    return _CONVEXITY_TAGS[convex * (1 + strict)], beta, h
+    convex = no_reflex & some_turn & once & ~folded
+    return _CONVEXITY_TAGS[convex * (1 + strict)], beta, h, folded
 
 
 def classify_convexity(poly: Polygon) -> ConvexityClass:
@@ -425,7 +429,7 @@ def classify_convexity(poly: Polygon) -> ConvexityClass:
     than the band, so it may accept what :func:`is_simple` rejects.  Everything
     else, including a circuit that turns more than once, is ``NOT_CONVEX``.
     """
-    tags, beta, h = _convexity_classes(poly.z[None])
+    tags, beta, h, _ = _convexity_classes(poly.z[None])
     return ConvexityClass(tag=tags[0], internal_angles=beta[0], h_values=h[0])
 
 
@@ -437,20 +441,9 @@ def _l1(u):
     return np.abs(u.real) + np.abs(u.imag)
 
 
-def _collinear(u, w):
-    """Elementwise: is |cross(u, w)| <= ``PREDICATE_TOL`` max(L1 u, L1 w)**2 (a straight vertex)?"""
-    scale = np.maximum(_l1(u), _l1(w))
-    return _straight(_cross(u, w), scale)
-
-
-def _straight(cross, scale):
-    """:func:`_collinear` from ``cross(u, w)`` and ``max(L1 u, L1 w)``; NaN is not straight."""
+def _collinear(cross, scale):
+    """Elementwise, is a vertex straight: |cross(u, w)| <= ``PREDICATE_TOL`` scale**2, scale = max(L1 u, L1 w), not NaN?"""
     return np.abs(cross) <= PREDICATE_TOL * scale * scale
-
-
-def _folds(u, w):
-    """Elementwise: do the sides ``u`` and ``w`` from a vertex leave it one way (a fold)?"""
-    return _collinear(u, w) & (_dot(u, w) > 0.0)
 
 
 def _sides_meet(a, b, c, d):
@@ -481,13 +474,13 @@ def _sides_meet(a, b, c, d):
     return meet
 
 
-def _simple(z: np.ndarray, tags: np.ndarray) -> np.ndarray:
-    """Per row of the ``(S, n)`` stack ``z`` with :func:`_convexity_classes` ``tags``: is it simple?
+def _simple(z: np.ndarray, tags: np.ndarray, folded: np.ndarray) -> np.ndarray:
+    """Per row of the ``(S, n)`` stack ``z`` with :func:`_convexity_classes` ``tags`` and ``folded``: is it simple?
 
     A STRICTLY_CONVEX row is exactly simple; only the other fold-free rows take the pair test (see :func:`is_simple`).
     """
     zn = _next(z)
-    simple = ~_folds(_prev(z) - z, zn - z).any(axis=-1)
+    simple = ~folded
     strict = tags == ConvexityTag.STRICTLY_CONVEX
     # side k runs from vertex k to k+1; test the pairs i < j that share no vertex
     n = z.shape[-1]
@@ -516,7 +509,8 @@ def is_simple(poly: Polygon) -> bool:
     touching within ``PREDICATE_TOL`` of the local scale counts as meeting.  Adjacent
     sides meet only at their shared vertex: one doubling back makes it non-simple.
     """
-    return bool(_simple(poly.z[None], _convexity_classes(poly.z[None])[0])[0])
+    tags, _, _, folded = _convexity_classes(poly.z[None])
+    return bool(_simple(poly.z[None], tags, folded)[0])
 
 
 @dataclass(frozen=True)
@@ -542,7 +536,7 @@ def _circumcircle_terms(a, b, c):
     s = math.ldexp(1.0, -max(math.frexp(scale.max())[1], -1023))
     u, w = s * u, s * w
     cross = _cross(u, w)
-    return _dot(u, u) * w - _dot(w, w) * u, cross, ~_straight(cross, s * scale), s
+    return _dot(u, u) * w - _dot(w, w) * u, cross, ~_collinear(cross, s * scale), s
 
 
 def circumcircle(a: complex, b: complex, c: complex):

@@ -62,8 +62,8 @@ class Termination(enum.Enum):
 class SimConfig:
     """Integration settings.
 
-    ``min_edge_capture`` of ``None`` means "use the default": 1e-6 times the
-    initial diameter for the bisector flow, disabled otherwise.  ``adaptive``
+    ``min_edge_capture`` is read by the bisector flow alone, and its ``None``
+    means "use the default", 1e-6 times the initial diameter.  ``adaptive``
     only affects the Menger-Melnikov flow, whose velocities are unbounded near
     collapse; there the step is shrunk so no vertex moves more than
     ``CURVATURE_STEP_FRACTION`` of the shortest edge.
@@ -127,17 +127,22 @@ class Trajectory:
         times.flags.writeable = z.flags.writeable = False
         self.__dict__.update(times=times, z=z)
 
-    perimeter = _derived(lambda self: geometry._edge_lengths(self.z).sum(axis=-1))
+    perimeter = property(lambda self: self._edges[0])
     signed_area = _derived(lambda self: geometry._signed_area(self.z))
     min_f = _derived(lambda self: geometry._star_values(self.z).min(axis=-1))
     min_h = _derived(lambda self: geometry._convexity_values(self.z).min(axis=-1))
-    min_edge = _derived(lambda self: geometry._edge_lengths(self.z).min(axis=-1))
-    _simple = _derived(lambda self: geometry._simple(self.z, self._convexity[0]))
+    min_edge = property(lambda self: self._edges[1])
+    _simple = _derived(lambda self: geometry._simple(self.z, self._convexity[0], self._convexity[2]))
 
     @_derived
-    def _convexity(self):  # each sample's ConvexityTag and smallest oriented H value
-        tags, _, h = geometry._convexity_classes(self.z)
-        return tags, h.min(axis=-1)
+    def _edges(self):  # each sample's perimeter and shortest edge, from one pass over the edges
+        e = geometry._edge_lengths(self.z)
+        return e.sum(axis=-1), e.min(axis=-1)
+
+    @_derived
+    def _convexity(self):  # each sample's ConvexityTag, smallest oriented H value and fold verdict
+        tags, _, h, folded = geometry._convexity_classes(self.z)
+        return tags, h.min(axis=-1), folded
 
     @property
     def states(self) -> list:
@@ -268,17 +273,17 @@ def _modal_states(z: np.ndarray, cfg: SimConfig):
 def _capture_test(poly: Polygon, flow: FlowSpec, cfg: SimConfig):
     # For the bisector flow, the function that tells which shortest edges of a
     # block are below the capture threshold; None for the other flows.  The
-    # default threshold, 1e-6 times the initial diameter, is decided against
-    # the initial polygon's diameter bracket, taken once; its exact diameter
-    # is taken once, for the first block with an edge inside the band.
+    # default threshold, 1e-6 times the initial diameter, is decided by
+    # _by_diameter against the initial polygon's diameter bracket, taken once
+    # per run; the first exact diameter narrows that bracket for good.
     if flow.kind is not FlowKind.BISECTOR:
         return None
     capture = cfg.min_edge_capture
     if capture is not None:
         return lambda e: e < capture
-    lo, hi = (1e-6 * end[0] for end in geometry._diameter_bracket(poly.z[None]))
-    exact = functools.cache(lambda: 1e-6 * geometry._diameters(poly.z[None])[0])
-    return lambda e: e < (exact() if math.isnan(lo) or ((e < lo) != (e < hi)).any() else hi)
+    z0 = poly.z[None]
+    bracket = geometry._diameter_bracket(z0)
+    return lambda e: geometry._by_diameter(z0, lambda d: e < 1e-6 * d[:, None], bracket)[0]
 
 
 def _first_stop(z: np.ndarray, ts: np.ndarray, steps: int, cfg: SimConfig, captured):

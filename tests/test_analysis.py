@@ -356,10 +356,30 @@ def test_area_check_and_simplicity_loss_share_one_pair_test(monkeypatch):
     loss = generate(GeneratorSpec(GeneratorKind.EMBEDDED_LOSS), 0)
     traj = run(loss, FlowSpec.linear(), SimConfig(t_end=1.5, dt=1e-3, record_every=10))
     pairs = counting(monkeypatch, geometry, "_sides_meet")
-    geometry._simple(traj.z, geometry._convexity_classes(traj.z)[0])
+    tags, _, _, folded = geometry._convexity_classes(traj.z)
+    geometry._simple(traj.z, tags, folded)
     once = len(pairs)
     assert once > 0
     with pytest.raises(NotSimpleError):
         check_area_monotone(traj)
     assert detect_first(traj, TrajectoryPredicate.LOSES_SIMPLICITY) is not None
     assert len(pairs) == 2 * once
+
+
+def test_area_check_and_simplicity_loss_take_the_fold_verdict_once(monkeypatch):
+    # the convexity pass settles the folds; the simplicity test forms no sides for them
+    loss = generate(GeneratorSpec(GeneratorKind.EMBEDDED_LOSS), 0)
+    traj = run(loss, FlowSpec.linear(), SimConfig(t_end=1.5, dt=1e-3, record_every=10))
+    bands = counting(monkeypatch, geometry, "_collinear")
+    with pytest.raises(NotSimpleError):
+        check_area_monotone(traj)
+    assert detect_first(traj, TrajectoryPredicate.LOSES_SIMPLICITY) is not None
+    assert len(bands) == 1
+
+
+def test_csv_write_forms_the_edge_lengths_once(tmp_path, monkeypatch):
+    # perimeter and min_edge come from one pass over the (S, n) edge lengths
+    traj = run(generate(GeneratorSpec(GeneratorKind.RANDOM_STAR, n=9), 4), FlowSpec.bisector(), SimConfig(t_end=0.2))
+    edges = counting(monkeypatch, geometry, "_edge_lengths")
+    write_trajectory_csv(traj, tmp_path / "t.csv")
+    assert len(edges) == 1

@@ -307,3 +307,23 @@ def test_analyze_bad_csv_row_is_one_error_line(tmp_path, edit, message):
     assert code == 2
     assert_clean(code, err)
     assert err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize(
+    "checks, message",
+    [
+        ("", "--checks names no check"),
+        (",", "--checks names no check"),
+        (" , ", "--checks names no check"),
+        ("perimeter,bogus", "unknown checks: bogus"),
+    ],
+    ids=["empty", "comma", "blanks", "unknown"],
+)
+def test_analyze_runs_only_named_known_checks(tmp_path, checks, message):
+    # a --checks list naming no check runs none: an error, not a passed report
+    path, report = tmp_path / "t.csv", tmp_path / "report.json"
+    path.write_text(BASE_CSV, encoding="utf-8")
+    code, out, err = cli(["analyze", "--csv", path, "--checks", checks, "--out-json", report])
+    assert_clean(code, err)
+    assert code == 2 and err == f"error: {message}\n" and not out
+    assert not report.exists()

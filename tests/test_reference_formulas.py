@@ -89,6 +89,7 @@ from polyshort.geometry import (  # noqa: E402
     _diameters,
     _dot,
     _edge_lengths,
+    _l1,
     _next,
     _prev,
     _simple,
@@ -427,10 +428,8 @@ def _segments_touch(p1, q1, p2, q2, tol=PREDICATE_TOL) -> bool:
     return False
 
 
-def ref_is_simple(z, tol=PREDICATE_TOL, num=float):
-    # tol=0 with num=Fraction is the exact test: no band, no rounding.  With the
-    # band, a fold-free circuit that turns once with every H above the H band is
-    # simple whatever its pairs, as in _simple
+def ref_folded(z, tol=PREDICATE_TOL, num=float):
+    # does a vertex have sides that leave it one way, within the band (a fold)?
     pts = [(num(v.real), num(v.imag)) for v in z.tolist()]
     n = len(pts)
     for i in range(n):
@@ -445,9 +444,20 @@ def ref_is_simple(z, tol=PREDICATE_TOL, num=float):
         cross = ur * wi - ui * wr
         dot = ur * wr + ui * wi
         if abs(cross) <= tol * scale * scale and dot > 0.0:
-            return False
+            return True
+    return False
+
+
+def ref_is_simple(z, tol=PREDICATE_TOL, num=float):
+    # tol=0 with num=Fraction is the exact test: no band, no rounding.  With the
+    # band, a fold-free circuit that turns once with every H above the H band is
+    # simple whatever its pairs, as in _simple
+    if ref_folded(z, tol, num):
+        return False
     if tol and ref_turns_once_strictly(z):
         return True
+    pts = [(num(v.real), num(v.imag)) for v in z.tolist()]
+    n = len(pts)
     for i in range(n):
         p1 = pts[i]
         q1 = pts[(i + 1) % n]
@@ -742,7 +752,7 @@ def test_circumcircle_mask_is_the_fold_band(stack):
         with np.errstate(all="ignore"):
             num, cross, ok, s = _circumcircle_terms(a, b, c)
             u, w = s * (a - b), s * (c - b)
-            assert ok.dtype == bool and np.array_equal(ok, ~_collinear(u, w))
+            assert ok.dtype == bool and np.array_equal(ok, ~_collinear(_cross(u, w), np.maximum(_l1(u), _l1(w))))
             assert same_bits(cross, _cross(u, w))
         assert ok[np.isnan(cross)].all()
 
@@ -802,6 +812,12 @@ def in_a_band(z):
     return False
 
 
+def stacked_simple(z):
+    """``_simple`` of the stack ``z`` with its own convexity classes, as a ``Trajectory`` takes it."""
+    tags, _, _, folded = _convexity_classes(z)
+    return _simple(z, tags, folded)
+
+
 # the fold example: the short side's end lies 5.2e-13 from the long side's
 # line, inside both bands, while the exact circuit is simple
 FOLD = np.array([0, 1, 1 + 1j, 1e-10 * np.exp(1j * np.radians(0.3))])
@@ -811,7 +827,7 @@ FOLD = np.array([0, 1, 1 + 1j, 1e-10 * np.exp(1j * np.radians(0.3))])
 def test_simple_is_exact_outside_the_bands(z):
     # wherever no vertex and no side pair is inside a band, the banded verdict is
     # the exact one; a pair at distance 0 meets in both
-    for row, simple in zip(z, _simple(z, _convexity_classes(z)[0])):
+    for row, simple in zip(z, stacked_simple(z)):
         if not in_a_band(row):
             assert bool(simple) is ref_is_simple(row, tol=0, num=Fraction)
 
@@ -851,7 +867,7 @@ def test_strictly_convex_is_simple_whatever_the_band():
 
 @given(st.one_of(STACK, GRID_STACK))
 def test_stacked_simple(z):
-    assert [bool(v) for v in _simple(z, _convexity_classes(z)[0])] == [ref_is_simple(row) for row in z]
+    assert [bool(v) for v in stacked_simple(z)] == [ref_is_simple(row) for row in z]
 
 
 @given(STACK)
@@ -868,8 +884,9 @@ def test_stacked_star_classes(z):
 # the split side touch the bottom one, the H band resolves nothing there
 @example(np.array([[1.0, 1.0 + 1.5e-167j, 1j, 0.0]]))
 def test_stacked_convexity_classes(z):
-    tags, beta, h = _convexity_classes(z)
-    assert tags.shape == z.shape[:1] and beta.shape == h.shape == z.shape
+    tags, beta, h, folded = _convexity_classes(z)
+    assert tags.shape == folded.shape == z.shape[:1] and beta.shape == h.shape == z.shape
+    assert [bool(f) for f in folded] == [ref_folded(row) for row in z]
     for row, tag, b, hh in zip(z, tags, beta, h):
         check_convexity(row, tag, b, hh)
 
@@ -887,10 +904,10 @@ def test_simple_spans_pair_blocks():
                 row[1] *= 0.5
             else:
                 row[[k, (k + 1) % n]] = row[[(k + 1) % n, k]]
-        tags = _convexity_classes(z)[0]
+        tags, _, _, folded = _convexity_classes(z)
         assert not (tags == ConvexityTag.STRICTLY_CONVEX).any()
         assert z.shape[0] * n * (n - 3) // 2 > 2 * _PAIR_BLOCK
-        got = [bool(v) for v in _simple(z, tags)]
+        got = [bool(v) for v in _simple(z, tags, folded)]
         assert got == [ref_is_simple(row) for row in z] == [k is None for k in swaps]
 
 
@@ -1285,7 +1302,7 @@ def test_convexity_h_band(exact_rows):
     tol = PREDICATE_TOL * 4.0
     hs = one_either_side(-tol) + one_either_side(tol)
     z = np.array([[-1.0, complex(0.0, -0.5 * h), 1.0, 1j] for h in hs])
-    tags, beta, h = _convexity_classes(z)
+    tags, beta, h, _ = _convexity_classes(z)
     assert exact_rows == [6]
     for row, tag, b, hh, want in zip(z, tags, beta, h, hs):
         ref_tag, ref_beta, ref_h = ref_classify_convexity(row)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from polyshort import flows, geometry, simulate
-from polyshort.flows import DegenerateTripleError, FlowSpec
+from polyshort.flows import BisectorSpeedMode, DegenerateTripleError, FlowSpec
 from polyshort.generators import _BOOMERANG_VERTICES, GeneratorKind, GeneratorSpec, generate
 from polyshort.geometry import Polygon
 from polyshort.simulate import (
@@ -23,7 +23,7 @@ from polyshort.simulate import (
 from polyshort.spectral import closed_form_state, decompose, eigenvalues
 
 # every value a Trajectory derives from its states
-DERIVED = ("perimeter", "signed_area", "min_f", "min_h", "min_edge", "_convexity", "_simple")
+DERIVED = ("perimeter", "signed_area", "min_f", "min_h", "min_edge", "_edges", "_convexity", "_simple")
 
 UNIT_SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 DIAMOND = Polygon([(1, 0), (0, 1), (-1, 0), (0, -1)])
@@ -303,6 +303,38 @@ class TestRunBisector:
         traj = run(UNIT_SQUARE, FlowSpec.bisector(), SimConfig(t_end=1.0, min_edge_capture=2.0))
         assert traj.termination is Termination.CAPTURE
         assert len(traj) == 1
+
+
+def radius_error(traj, radius):
+    """Largest | |z_i - g| - radius(t) | over the samples of ``traj``, g each sample's centroid."""
+    g = traj.z.mean(axis=-1, keepdims=True)
+    return float(np.abs(np.abs(traj.z - g) - radius(traj.times)[:, None]).max())
+
+
+class TestRegularNgonExactSolutions:
+    # A regular n-gon stays regular under the stepped flows, with a known
+    # circumradius: MM moves each vertex inward at the curvature 1/R, so
+    # R = sqrt(1 - 2t); the bisector flow moves it inward at its speed v, so
+    # R = 1 - v t, with v = |d| / 2 = sin(pi / n) for NORM_MATCHED.
+
+    @pytest.mark.parametrize("n", [4, 7, 16])
+    def test_menger_melnikov_square_law(self, n):
+        # with the curvature cap off, dt 1e-3 is too stiff for RK4 in the high
+        # modes of larger n: the 64-gon loses regularity near t = 0.45
+        traj = run(regular_ngon(n), FlowSpec.menger_melnikov(), SimConfig(t_end=0.45, dt=1e-3, adaptive=False))
+        assert traj.termination is Termination.T_END and len(traj) == 451
+        assert radius_error(traj, lambda t: np.sqrt(1.0 - 2.0 * t)) <= 2e-11
+
+    @pytest.mark.parametrize("n", [4, 7, 64])
+    @pytest.mark.parametrize("speed", [1.0, 0.5, None], ids=["unit", "half", "norm_matched"])
+    def test_bisector_linear_law(self, n, speed):
+        if speed is None:
+            flow, speed = FlowSpec.bisector(BisectorSpeedMode.NORM_MATCHED), math.sin(math.pi / n)
+        else:
+            flow = FlowSpec.bisector(speed=speed)
+        traj = run(regular_ngon(n), flow, SimConfig(t_end=0.9, dt=1e-3))
+        assert traj.termination is Termination.T_END and len(traj) == 901
+        assert radius_error(traj, lambda t: 1.0 - speed * t) <= 1e-13
 
 
 class TestDetectFirst:
