@@ -54,9 +54,14 @@ class Scenario:
 _OUTPUT_KINDS = frozenset({"csv", "svg", "report_json"})
 
 
-# JSON types only: float(True) is 1.0, float("1e-1") is 0.1, int(2.5) is 2 and
-# bool("false") is True, so each value must already have its JSON type
-_JSON_TYPES = {float: ((int, float), "a number"), int: ((int,), "an integer"), bool: ((bool,), "true or false")}
+# JSON types only: float(True) is 1.0, float("1e-1") is 0.1, int(2.5) is 2,
+# bool("false") is True and str({}) is "{}", so each value must have its JSON type
+_JSON_TYPES = {
+    float: ((int, float), "a number"),
+    int: ((int,), "an integer"),
+    bool: ((bool,), "true or false"),
+    str: ((str,), "a string"),
+}
 
 
 def _json_value(value, kind, name: str):
@@ -75,10 +80,8 @@ def _parse_flow(doc) -> FlowSpec:
         raise ScenarioError(f"unknown flow kind {doc['kind']!r}") from None
     if kind is not FlowKind.BISECTOR:
         return FlowSpec(kind=kind)
-    mode = BisectorSpeedMode(doc.get("speed_mode", "unit"))
-    if mode is BisectorSpeedMode.NORM_MATCHED:
-        return FlowSpec.bisector(speed_mode=mode)
-    return FlowSpec.bisector(speed_mode=mode, speed=_json_value(doc.get("speed", 1.0), float, "flow.speed"))
+    speed = _json_value(doc["speed"], float, "flow.speed") if "speed" in doc else None
+    return FlowSpec.bisector(speed_mode=BisectorSpeedMode(doc.get("speed_mode", "unit")), speed=speed)
 
 
 def _parse_polygon(doc):
@@ -117,7 +120,7 @@ def scenario_from_dict(doc) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a JSON object")
     try:
-        name = str(doc["name"])
+        name = _json_value(doc["name"], str, "name")
         polygon = _parse_polygon(doc["polygon"])
         flow = _parse_flow(doc["flow"])
         sim = _parse_sim(doc["sim"])

@@ -100,13 +100,10 @@ class FlowSpec:
         return cls(kind=FlowKind.MENGER_MELNIKOV)
 
     @classmethod
-    def bisector(
-        cls,
-        speed_mode: BisectorSpeedMode = BisectorSpeedMode.UNIT,
-        speed: float = 1.0,
-    ) -> "FlowSpec":
-        if speed_mode is BisectorSpeedMode.NORM_MATCHED:
-            return cls(kind=FlowKind.BISECTOR, bisector_speed_mode=speed_mode)
+    def bisector(cls, speed_mode: BisectorSpeedMode = BisectorSpeedMode.UNIT, speed: float | None = None) -> "FlowSpec":
+        """A bisector flow: UNIT with no speed moves at 1.0; the constructor refuses a speed with NORM_MATCHED."""
+        if speed is None and speed_mode is BisectorSpeedMode.UNIT:
+            speed = 1.0
         return cls(kind=FlowKind.BISECTOR, bisector_speed_mode=speed_mode, bisector_speed=speed)
 
 

@@ -56,9 +56,9 @@ ANGLE_SUM_TOL = 1e-9
 
 _TWO_PI = 2.0 * np.pi
 
-# _diameters forms at most this many pairwise distances at once, unless one row
-# alone has more.
-_DISTANCE_BLOCK = 4096
+# A stacked pass forms at most this many values at once, unless one row alone
+# has more: pairwise distances, side pairs, a linear run's vertex positions.
+_BLOCK = 4096
 
 # _diameter_bracket widens its bracket by this times (r + n max|z|): more than the
 # rounding of the centroid, of r and of the diameter can move either side.
@@ -68,13 +68,13 @@ _BRACKET_ULPS = 16.0 * np.finfo(np.float64).eps
 def _as_complex_vertices(vertices) -> np.ndarray:
     arr = np.asarray(vertices)
     if arr.ndim == 2 and arr.shape[-1] == 2:
-        if arr.dtype.kind not in "biufO":
+        if arr.dtype.kind not in "iufO":
             raise TypeError("vertex coordinates must be real numbers")
         # assigned, not x + 1j * y: 1j * inf multiplies 0 by inf and warns
         z = np.empty(len(arr), dtype=np.complex128)
         z.real, z.imag = arr[:, 0], arr[:, 1]
         return z
-    if arr.dtype.kind not in "biufcO":
+    if arr.dtype.kind not in "iufcO":
         raise TypeError("vertices must be numbers")
     return np.array(arr, dtype=np.complex128)
 
@@ -160,10 +160,10 @@ def _diameter(z: np.ndarray) -> float:
 
 def _diameters(z: np.ndarray) -> np.ndarray:
     # _diameter of every row of the (S, n) stack z, in blocks of rows that hold
-    # at most _DISTANCE_BLOCK distances (or of one row): a stacked (S, n, n)
-    # array grows too large
+    # at most _BLOCK distances (or of one row): a stacked (S, n, n) array grows
+    # too large
     n = z.shape[-1]
-    rows = max(1, _DISTANCE_BLOCK // (n * n))
+    rows = max(1, _BLOCK // (n * n))
     out = np.empty(len(z))
     for i in range(0, len(z), rows):
         block = z[i : i + rows]
@@ -433,10 +433,6 @@ def classify_convexity(poly: Polygon) -> ConvexityClass:
     return ConvexityClass(tag=tags[0], internal_angles=beta[0], h_values=h[0])
 
 
-# _simple tests at most this many side pairs at once, whatever S and n.
-_PAIR_BLOCK = 4096
-
-
 def _l1(u):
     return np.abs(u.real) + np.abs(u.imag)
 
@@ -477,27 +473,30 @@ def _sides_meet(a, b, c, d):
 def _simple(z: np.ndarray, tags: np.ndarray, folded: np.ndarray) -> np.ndarray:
     """Per row of the ``(S, n)`` stack ``z`` with :func:`_convexity_classes` ``tags`` and ``folded``: is it simple?
 
-    A STRICTLY_CONVEX row is exactly simple; only the other fold-free rows take the pair test (see :func:`is_simple`).
+    A folded row is not simple, a STRICTLY_CONVEX row is; only the other rows form side pairs (see :func:`is_simple`).
     """
-    zn = _next(z)
     simple = ~folded
-    strict = tags == ConvexityTag.STRICTLY_CONVEX
+    open_rows = np.flatnonzero(simple & (tags != ConvexityTag.STRICTLY_CONVEX))
+    if not open_rows.size:
+        return simple
+    zn = _next(z)
     # side k runs from vertex k to k+1; test the pairs i < j that share no vertex
     n = z.shape[-1]
     k = np.arange(n)
     apart = np.less_equal.outer(k + 2, k)
     apart[0, n - 1] = False
     i, j = np.nonzero(apart)
-    # a block holds whole rows when a row has few pairs, else part of one row
-    rows = max(1, _PAIR_BLOCK // max(i.size, 1))
-    for r0 in range(0, len(z), rows):
-        for p0 in range(0, i.size, _PAIR_BLOCK):
-            live = r0 + np.flatnonzero(simple[r0 : r0 + rows] & ~strict[r0 : r0 + rows])
-            if not live.size:
-                break
-            ii, jj = i[p0 : p0 + _PAIR_BLOCK], j[p0 : p0 + _PAIR_BLOCK]
+    # a block holds whole open rows when a row has few pairs, else part of one row
+    rows = max(1, _BLOCK // max(i.size, 1))
+    for r0 in range(0, open_rows.size, rows):
+        live = open_rows[r0 : r0 + rows]
+        for p0 in range(0, i.size, _BLOCK):
+            ii, jj = i[p0 : p0 + _BLOCK], j[p0 : p0 + _BLOCK]
             za, zb = z[live], zn[live]
             simple[live] = ~_sides_meet(za[:, ii], zb[:, ii], za[:, jj], zb[:, jj]).any(axis=-1)
+            live = live[simple[live]]
+            if not live.size:
+                break
     return simple
 
 

@@ -43,10 +43,9 @@ CURVATURE_STEP_FRACTION = 0.05
 # After this many steps a run ends with termination MAX_STEPS: every run ends.
 MAX_STEPS = 10**6
 
-# A linear run computes at most this many vertex positions at once, in blocks
-# of _MODAL_BLOCK // n steps; the other flows take _STEP_BLOCK steps ahead of
+# A linear run computes at most geometry._BLOCK vertex positions at once, in
+# blocks of _BLOCK // n steps; the other flows take this many steps ahead of
 # the stop tests.  A stop wastes at most the rest of its block.
-_MODAL_BLOCK = 4096
 _STEP_BLOCK = 8
 
 
@@ -248,7 +247,7 @@ def _stepped_states(z: np.ndarray, flow: FlowSpec, cfg: SimConfig):
 
 def _modal_states(z: np.ndarray, cfg: SimConfig):
     # RK4 steps of the linear flow taken per Fourier mode, in blocks of
-    # _MODAL_BLOCK // n end times and states.  The flow is circulant, so a step
+    # geometry._BLOCK // n end times and states.  The flow is circulant, so a step
     # of size h multiplies mode k by R(h * lambda_k) and m steps multiply it by
     # exp(m * log1p(R - 1)); a running product of R ~ 1 - 1e-4 would instead
     # grow its rounding with m.
@@ -256,7 +255,7 @@ def _modal_states(z: np.ndarray, cfg: SimConfig):
     c0 = spectral._modes(z)
     lam = spectral.eigenvalues(n)
     log_gain = np.log1p(spectral._rk4_gain_m1(cfg.dt * lam))
-    k = max(1, _MODAL_BLOCK // n)
+    k = max(1, geometry._BLOCK // n)
     t, m = 0.0, 0
     while True:
         ts, last = _fixed_steps(t, cfg, k)

@@ -88,6 +88,8 @@ VALID = {
     "sim": {"t_end": 1.0},
 }
 
+NORM_MATCHED = {"kind": "bisector", "speed_mode": "norm_matched"}
+
 
 def with_value(path, value):
     """``VALID`` with the entry at ``path`` (a tuple of keys) set to ``value``."""
@@ -119,6 +121,7 @@ def assert_clean(code, err):
 @example(with_value(("polygon", "vertices"), [[HUGE, 0], [1, 0], [0, 1]]))
 @example(with_value(("polygon",), {"generator": {"kind": "random_star", "n": 8, "radius_range": [0.5, HUGE]}}))
 @example(with_value(("polygon", "vertices"), [[i, i * i] for i in range(1001)]))
+@example(with_value(("flow",), dict(NORM_MATCHED, speed="fast")))
 @given(SCENARIO)
 def test_scenario_from_dict(doc):
     try:
@@ -147,6 +150,29 @@ def test_string_vertices_are_one_error_line(tmp_path):
     code, _, err = cli(["simulate", "--scenario", path, "--out-dir", tmp_path])
     assert code == 2
     assert err.splitlines() == ["error: vertices must be numbers"]
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("polygon", "vertices"), [[True, False], [False, True], [True, True]], "vertex coordinates must be real numbers"),
+        (("name",), {"a": 1}, "name must be a string, not {'a': 1}"),
+        (("flow",), dict(NORM_MATCHED, speed=3.0), "NORM_MATCHED bisector flow takes no speed"),
+        (("flow",), dict(NORM_MATCHED, speed="fast"), "flow.speed must be a number, not 'fast'"),
+    ],
+    ids=["boolean_vertices", "object_name", "norm_matched_speed", "string_speed"],
+)
+def test_scenario_value_of_the_wrong_kind_is_one_error_line(tmp_path, path, value, message):
+    # each of these once ran: booleans as vertices, a dict as the file name, a
+    # NORM_MATCHED speed dropped without a word
+    doc = with_value(path, value)
+    doc["outputs"] = ["csv"]
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = cli(["simulate", "--scenario", scenario, "--out-dir", tmp_path])
+    assert code == 2
+    assert err.splitlines() == [f"error: {message}"]
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
 
 
 @pytest.mark.filterwarnings("error")

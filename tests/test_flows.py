@@ -61,6 +61,14 @@ class TestFlowSpec:
                 bisector_speed=1.0,
             )
 
+    def test_bisector_factory_leaves_the_speed_rule_to_the_constructor(self):
+        norm = BisectorSpeedMode.NORM_MATCHED
+        assert FlowSpec.bisector(norm) == FlowSpec(kind=FlowKind.BISECTOR, bisector_speed_mode=norm)
+        with pytest.raises(ValueError, match="takes no speed"):
+            FlowSpec.bisector(norm, speed=2.0)
+        with pytest.raises(ValueError, match="positive speed"):
+            FlowSpec.bisector(speed=0.0)
+
     def test_other_flows_reject_bisector_params(self):
         with pytest.raises(ValueError):
             FlowSpec(kind=FlowKind.LINEAR, bisector_speed=1.0)

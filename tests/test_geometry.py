@@ -1,6 +1,7 @@
 """Geometry predicates: frozen oracles plus algebraic property tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -353,6 +354,23 @@ class TestIsSimple:
         assert detect_first(traj, TrajectoryPredicate.LOSES_SIMPLICITY) is None
         with pytest.raises(AssertionError, match="_sides_meet called"):
             is_simple(Polygon(_BOOMERANG_VERTICES))
+
+    @pytest.mark.parametrize(
+        "poly, limit_mb",
+        [(regular_ngon(1000), 1.0), (generate(GeneratorSpec(GeneratorKind.RANDOM_STAR, n=1000), 1), 11.0)],
+        ids=["regular", "random_star"],
+    )
+    def test_pair_index_only_for_open_rows(self, poly, limit_mb):
+        # the STRICTLY_CONVEX 1000-gon forms no n x n pair index; a star that
+        # is not convex forms it once, and tests its pairs in blocks
+        is_simple(poly)
+        tracemalloc.start()
+        try:
+            assert is_simple(poly)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb * 1e6
 
     def test_short_side_keeps_a_distance_band(self):
         # The side ending at eps/2 + 0.05 e^{i pi/6} points between the ends of

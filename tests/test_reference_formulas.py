@@ -74,7 +74,7 @@ from polyshort.flows import (  # noqa: E402
 )
 from polyshort.generators import GeneratorKind, GeneratorSpec, generate  # noqa: E402
 from polyshort.geometry import (  # noqa: E402
-    _PAIR_BLOCK,
+    _BLOCK,
     ANGLE_SUM_TOL,
     PREDICATE_TOL,
     ConvexityTag,
@@ -108,7 +108,6 @@ from polyshort.geometry import (  # noqa: E402
 )
 from polyshort import geometry, simulate  # noqa: E402
 from polyshort.simulate import (  # noqa: E402
-    _MODAL_BLOCK,
     CURVATURE_STEP_FRACTION,
     SimConfig,
     Termination,
@@ -906,7 +905,7 @@ def test_simple_spans_pair_blocks():
                 row[[k, (k + 1) % n]] = row[[(k + 1) % n, k]]
         tags, _, _, folded = _convexity_classes(z)
         assert not (tags == ConvexityTag.STRICTLY_CONVEX).any()
-        assert z.shape[0] * n * (n - 3) // 2 > 2 * _PAIR_BLOCK
+        assert z.shape[0] * n * (n - 3) // 2 > 2 * _BLOCK
         got = [bool(v) for v in _simple(z, tags, folded)]
         assert got == [ref_is_simple(row) for row in z] == [k is None for k in swaps]
 
@@ -1174,7 +1173,7 @@ def test_collapse_at_a_block_boundary(n, offset):
     # diameter shows to be above it
     poly = generate(GeneratorSpec(GeneratorKind.RANDOM_STAR, n=n), 7)
     cfg = SimConfig(t_end=1e4, dt=0.05, record_every=3)
-    k = _MODAL_BLOCK // n
+    k = _BLOCK // n
     times, d, r = stepped_collapse_band(poly, cfg, k + 2)
     j = k + offset
     stop = 0.5 * (d[j - 1] + d[j])
