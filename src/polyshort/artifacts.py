@@ -84,11 +84,19 @@ def _parse_flow(doc) -> FlowSpec:
     return FlowSpec.bisector(speed_mode=BisectorSpeedMode(doc.get("speed_mode", "unit")), speed=speed)
 
 
+def _json_coordinates(vertex):
+    # each coordinate a JSON number: numpy would take a true among numbers for 1
+    if isinstance(vertex, list):
+        return [_json_value(x, float, "polygon.vertices") for x in vertex]
+    return _json_value(vertex, float, "polygon.vertices")
+
+
 def _parse_polygon(doc):
     if not isinstance(doc, dict):
         raise ScenarioError("polygon must be an object")
     if "vertices" in doc:
-        poly = Polygon(doc["vertices"])
+        vertices = doc["vertices"]
+        poly = Polygon([_json_coordinates(v) for v in vertices] if isinstance(vertices, list) else vertices)
         _check_n(poly.n, "the number of vertices")
         return poly
     if "generator" in doc:

@@ -43,9 +43,10 @@ CURVATURE_STEP_FRACTION = 0.05
 # After this many steps a run ends with termination MAX_STEPS: every run ends.
 MAX_STEPS = 10**6
 
-# A linear run computes at most geometry._BLOCK vertex positions at once, in
-# blocks of _BLOCK // n steps; the other flows take this many steps ahead of
-# the stop tests.  A stop wastes at most the rest of its block.
+# A linear run takes its steps as modes in blocks of geometry._BLOCK // n,
+# and forms at most _BLOCK vertex positions at once; the other flows take this
+# many steps ahead of the stop tests.  A stop wastes at most the rest of its
+# block; on the linear path, its modes and the open rows formed past the stop.
 _STEP_BLOCK = 8
 
 
@@ -208,13 +209,14 @@ def _fixed_steps(t: float, cfg: SimConfig, k: int):
 
 
 def _stepped_states(z: np.ndarray, flow: FlowSpec, cfg: SimConfig):
-    # RK4 steps of the vertices, in blocks of up to _STEP_BLOCK end times and
-    # states.  A block ends early after a step that the curvature cap
-    # shortened, as the rest of its times no longer apply.  A field that is
-    # undefined, or a step too small to advance the time, ends the last block
-    # with a NaN state.
+    # RK4 steps of the vertices: the initial state, then blocks of up to
+    # _STEP_BLOCK end times and states, each with the slice of all its rows.  A
+    # block ends early after a step that the curvature cap shortened, as the
+    # rest of its times no longer apply.  A field that is undefined, or a step
+    # too small to advance the time, ends the last block with a NaN state.
     fld = _field_function(flow)
     adaptive = cfg.adaptive and flow.kind is FlowKind.MENGER_MELNIKOV
+    yield np.zeros(1), z[None], slice(0, None)
     t = 0.0
     while True:
         ends, last = _fixed_steps(t, cfg, _STEP_BLOCK)
@@ -235,38 +237,98 @@ def _stepped_states(z: np.ndarray, flow: FlowSpec, cfg: SimConfig):
                     raise FlowDegeneracyError("step too small to advance the time")
                 z = _rk4(z, fld, dt_eff, k1)
             except FlowDegeneracyError:
-                yield np.array(ts + [end]), np.array(zs + [np.full_like(z, np.nan)])
+                yield np.array(ts + [end]), np.array(zs + [np.full_like(z, np.nan)]), slice(0, None)
                 return
             t = end
             ts.append(t)
             zs.append(z)
             if capped:
                 break
-        yield np.array(ts), np.array(zs)
+        yield np.array(ts), np.array(zs), slice(0, None)
+
+
+class _ModalBlock:
+    """States of a block of linear-flow steps, formed from their modes on demand.
+
+    Row i has the modes c0 * exp(e[i] * log_gain), times ``short`` in the last
+    row if that is the short step.  Indexing forms the rows asked for alone,
+    with their bits in the whole block: each step is elementwise, and the
+    inverse FFT transforms each row alone.
+    """
+
+    def __init__(self, c0, log_gain, e, short=None):
+        self.c0, self.log_gain, self.e, self.short = c0, log_gain, e, short
+
+    def _scaled(self, a, rows):  # a, per mode, times the gain of each of the rows
+        i = np.arange(self.e.size)[rows]
+        out = a * np.exp(self.e[i, None] * self.log_gain)
+        if self.short is not None and i.size and i[-1] == self.e.size - 1:
+            out[-1] *= self.short
+        return out
+
+    def __getitem__(self, rows):
+        c = self._scaled(self.c0, rows)
+        return np.fft.ifft(c, axis=-1, norm="forward") if len(c) else c
+
+    def bounds(self, rows):  # L = |c[1:]|_2, the RMS of |z - g| (Parseval), and U = 2 sum |c[1:]|
+        b = self._scaled(np.abs(self.c0), rows)[:, 1:]
+        return np.sqrt((b * b).sum(axis=-1)), 2.0 * b.sum(axis=-1)
+
+    def open_rows(self, stop, margin):
+        # The slice of rows whose collapse L and U leave open: L clears the rows
+        # before it, and U shows that its last row collapses if it ends before
+        # the block.  No mode grows, so L of the last row clears all, in O(n).
+        k = self.e.size
+        if self.bounds(slice(k - 1, k))[0][0] >= stop + margin:
+            return slice(k, k)
+        lower, upper = self.bounds(slice(0, k))
+        proved = upper + margin < stop
+        return slice(int((lower >= stop + margin).argmin()), int(proved.argmax()) + 1 if proved.any() else k)
 
 
 def _modal_states(z: np.ndarray, cfg: SimConfig):
-    # RK4 steps of the linear flow taken per Fourier mode, in blocks of
-    # geometry._BLOCK // n end times and states.  The flow is circulant, so a step
-    # of size h multiplies mode k by R(h * lambda_k) and m steps multiply it by
-    # exp(m * log1p(R - 1)); a running product of R ~ 1 - 1e-4 would instead
-    # grow its rounding with m.
+    # RK4 steps of the linear flow taken per Fourier mode: the initial state,
+    # then blocks of geometry._BLOCK // n end times and states, each with the
+    # slice of its rows that the stop test must form.  The flow is circulant,
+    # so a step of size h multiplies mode k by R(h * lambda_k) and m steps
+    # multiply it by exp(m * log1p(R - 1)); a running product of R ~ 1 - 1e-4
+    # would instead grow its rounding with m.
+    #
+    # While no mode grows, _ModalBlock.open_rows screens the collapse test with
+    # the bounds L and U of the diameter d that _diameters takes of a formed
+    # state z.  The margin covers four roundings, each a few n eps S, S = sum
+    # |c0| with c0_0 included (a polygon far from the origin rounds with its
+    # offset).  The inverse FFT moves each vertex by E <= log2(n) sqrt(n) 6 eps
+    # |c|_2 <= 12 n eps S (the forward FFT moves the initial modes as far).
+    # exp and abs put |c0_k| exp(e l_k) within 4 eps of |c_k|, and the sums in
+    # L and U add n eps.  About the exact centroid g of z, L - E <= max |z - g|
+    # <= d <= U + 4 E, so no computed centroid enters.  _diameters rounds each
+    # distance by 3 eps of at most 2 S.  All stay below 64 n eps S; squares
+    # below the normal range round by up to 2**-1075 each, moving L by up to
+    # sqrt(n) 2**-537.  A growing mode, or modes so large that a square of S
+    # overflows, turn the screen off.
     n = z.size
     c0 = spectral._modes(z)
     lam = spectral.eigenvalues(n)
     log_gain = np.log1p(spectral._rk4_gain_m1(cfg.dt * lam))
+    size = np.abs(c0).sum()
+    margin = 64.0 * n * (np.finfo(np.float64).eps * size + 2.0**-537)
+    screen = (log_gain <= 0.0).all() and np.isfinite(size * size)
+    first = _ModalBlock(c0, log_gain, np.zeros(1, dtype=np.int64))
+    yield np.zeros(1), z[None], first.open_rows(cfg.stop_diameter, margin) if screen else slice(0, 1)
     k = max(1, geometry._BLOCK // n)
     t, m = 0.0, 0
     while True:
         ts, last = _fixed_steps(t, cfg, k)
         full = ts.size - last
-        # the modes now, then after each full step
-        c = c0 * np.exp(np.arange(m, m + full + 1)[:, None] * log_gain)
-        if last:
-            h = cfg.t_end - (ts[-2] if full else t)
-            c = np.concatenate((c, c[-1:] * (1.0 + spectral._rk4_gain_m1(h * lam))))
+        # the modes after each full step, then after the short step from the last of them
+        short = 1.0 + spectral._rk4_gain_m1((cfg.t_end - (ts[-2] if full else t)) * lam) if last else None
+        block = _ModalBlock(c0, log_gain, np.minimum(np.arange(m + 1, m + ts.size + 1), m + full), short)
         t, m = float(ts[-1]), m + full
-        yield ts, np.fft.ifft(c[1:], axis=-1, norm="forward")
+        if screen and (short is None or (short <= 1.0).all()):
+            yield ts, block, block.open_rows(cfg.stop_diameter, margin)
+        else:
+            yield ts, block[:], slice(0, None)
 
 
 def _capture_test(poly: Polygon, flow: FlowSpec, cfg: SimConfig):
@@ -285,24 +347,30 @@ def _capture_test(poly: Polygon, flow: FlowSpec, cfg: SimConfig):
     return lambda e: geometry._by_diameter(z0, lambda d: e < 1e-6 * d[:, None], bracket)[0]
 
 
-def _first_stop(z: np.ndarray, ts: np.ndarray, steps: int, cfg: SimConfig, captured):
-    # How many rows of the (k, n) stack z the run reaches, and why it stops at
-    # the last of them; or (k, None).  Row i is the state at time ts[i] after
-    # steps + i steps.  The first non-finite row ends the run DEGENERATE at the
-    # row before it.  At each finite state the rules go in the order collapse,
-    # capture (if captured, from _capture_test, is not None), end of time,
-    # MAX_STEPS (read at call time, so a patched cap holds).
-    finite = np.isfinite(z).all(axis=-1)
-    k = ts.size if finite.all() else int(finite.argmin())
-    z, ts = z[:k], ts[:k]
-    rules = [(Termination.COLLAPSED, geometry._by_diameter(z, lambda d: d < cfg.stop_diameter))]
+def _first_stop(z, ts: np.ndarray, rows: slice, steps: int, cfg: SimConfig, captured):
+    # How many rows of the block z the run reaches, and why it stops at the
+    # last of them; or (k, None).  Row i is the state at time ts[i] after
+    # steps + i steps.  Only the rows in the slice rows are formed and tested
+    # (_ModalBlock.open_rows settles the others; a stepped block, which alone
+    # may have a capture test, gives all).  The first non-finite row ends the
+    # run DEGENERATE at the row before it.  At each finite state the rules go
+    # in the order collapse, capture (if captured, from _capture_test, is not
+    # None), end of time, MAX_STEPS (read at call time: a patched cap holds).
+    zs = z[rows]
+    finite = np.isfinite(zs).all(axis=-1)
+    k = ts.size if finite.all() else rows.start + int(finite.argmin())
+    zs, ts = zs[: k - rows.start], ts[:k]
+    collapsed = np.zeros(k, dtype=bool)
+    if len(zs):
+        collapsed[rows.start : rows.start + len(zs)] = geometry._by_diameter(zs, lambda d: d < cfg.stop_diameter)
+    rules = [(Termination.COLLAPSED, collapsed)]
     if captured is not None:
-        rules.append((Termination.CAPTURE, captured(geometry._edge_lengths(z).min(axis=-1))))
+        rules.append((Termination.CAPTURE, captured(geometry._edge_lengths(zs).min(axis=-1))))
     rules.append((Termination.T_END, ~_time_left(ts, cfg)))
     i = min([int(hit.argmax()) for _, hit in rules if hit.any()] + [max(MAX_STEPS - steps, 0), k])
     if i < k:
         return i + 1, next((reason for reason, hit in rules if hit[i]), Termination.MAX_STEPS)
-    return k, None if k == finite.size else Termination.DEGENERATE
+    return k, None if finite.all() else Termination.DEGENERATE
 
 
 def run(poly: Polygon, flow: FlowSpec, cfg: SimConfig) -> Trajectory:
@@ -314,34 +382,34 @@ def run(poly: Polygon, flow: FlowSpec, cfg: SimConfig) -> Trajectory:
     degeneracy, a non-finite step result or a step too small to advance the
     time ends the run with termination DEGENERATE at the last valid state.
     The linear flow takes its RK4 steps per Fourier mode, a block of them at
-    a time; the other flows step the vertices.  The collapse test and the
-    default capture threshold use the diameter only where its O(n) bracket
-    cannot decide them (see ``geometry._by_diameter``); the capture
-    threshold's bracket is taken once per run.
+    a time, and forms the vertices only of the states it records, its last
+    state and the states whose collapse its modal bounds cannot settle; the
+    other flows step the vertices.  The collapse test and the default capture
+    threshold use the diameter only where its O(n) bracket cannot decide them
+    (see ``geometry._by_diameter``); the capture threshold's bracket is taken
+    once per run.
     """
     captured = _capture_test(poly, flow, cfg)
     blocks = _modal_states(poly.z, cfg) if flow.kind is FlowKind.LINEAR else _stepped_states(poly.z, flow, cfg)
-    # the current block of states: row i is the state after steps + i steps
-    ts, z, steps = np.zeros(1), poly.z[None], 0
-    final = ts, z
-    rec_t, rec_z = [], []
+    steps, rec_t, rec_z = 0, [], []
     # an unstable step overflows; its non-finite state ends the run DEGENERATE
     with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            reached, termination = _first_stop(z, ts, steps, cfg, captured)
+        # each block of states: row i is the state after steps + i steps
+        for ts, z, rows in blocks:
+            reached, termination = _first_stop(z, ts, rows, steps, cfg, captured)
             # copies, so that a block is freed once its recorded rows are kept
             first = -steps % cfg.record_every
             rec_t.append(ts[first:reached:cfg.record_every].copy())
             rec_z.append(z[first:reached:cfg.record_every].copy())
             if reached:
-                final = ts[reached - 1 : reached], z[reached - 1 : reached]
+                final = ts[reached - 1 : reached], z, reached - 1
             if termination is not None:
                 break
             steps += ts.size
-            ts, z = next(blocks)
-    if np.concatenate(rec_t)[-1] != final[0][0]:
-        rec_t.append(final[0])
-        rec_z.append(final[1])
+        t, z, i = final
+        if np.concatenate(rec_t)[-1] != t[0]:
+            rec_t.append(t)
+            rec_z.append(z[i : i + 1])
     return Trajectory(np.concatenate(rec_t), np.concatenate(rec_z), termination)
 
 

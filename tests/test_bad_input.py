@@ -143,28 +143,29 @@ def test_simulate_non_finite_vertex_is_one_error_line(tmp_path, vertex):
 
 def test_string_vertices_are_one_error_line(tmp_path):
     doc = with_value(("polygon", "vertices"), ["0", "1", "1j"])
-    with pytest.raises(ScenarioError, match="vertices must be numbers"):
+    with pytest.raises(ScenarioError, match="polygon.vertices must be a number"):
         scenario_from_dict(doc)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, _, err = cli(["simulate", "--scenario", path, "--out-dir", tmp_path])
     assert code == 2
-    assert err.splitlines() == ["error: vertices must be numbers"]
+    assert err.splitlines() == ["error: polygon.vertices must be a number, not '0'"]
 
 
 @pytest.mark.parametrize(
     "path, value, message",
     [
-        (("polygon", "vertices"), [[True, False], [False, True], [True, True]], "vertex coordinates must be real numbers"),
+        (("polygon", "vertices"), [[True, False], [False, True], [True, True]], "polygon.vertices must be a number, not True"),
+        (("polygon", "vertices"), [[True, 0.5], [0, 1], [2, 2]], "polygon.vertices must be a number, not True"),
         (("name",), {"a": 1}, "name must be a string, not {'a': 1}"),
         (("flow",), dict(NORM_MATCHED, speed=3.0), "NORM_MATCHED bisector flow takes no speed"),
         (("flow",), dict(NORM_MATCHED, speed="fast"), "flow.speed must be a number, not 'fast'"),
     ],
-    ids=["boolean_vertices", "object_name", "norm_matched_speed", "string_speed"],
+    ids=["boolean_vertices", "mixed_boolean_vertices", "object_name", "norm_matched_speed", "string_speed"],
 )
 def test_scenario_value_of_the_wrong_kind_is_one_error_line(tmp_path, path, value, message):
-    # each of these once ran: booleans as vertices, a dict as the file name, a
-    # NORM_MATCHED speed dropped without a word
+    # each of these once ran: booleans as vertices, alone or among numbers, a
+    # dict as the file name, a NORM_MATCHED speed dropped without a word
     doc = with_value(path, value)
     doc["outputs"] = ["csv"]
     scenario = tmp_path / "scenario.json"

@@ -32,7 +32,9 @@ FFT and for the stacked residual.  ``run`` once stepped every flow's vertices
 in a Python loop, one step per iteration; that loop is kept here as the
 oracle for the linear flow's modal blocks (same termination, bit-equal times,
 states within a few units in the last place) and, bit for bit, for the
-stepped flows.
+stepped flows.  The modal blocks once formed every state and took the
+collapse test on each; that run is kept as the bit-for-bit oracle for the
+modal bounds, which leave most states unformed.
 """
 
 import itertools
@@ -47,7 +49,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
@@ -1215,6 +1217,113 @@ def test_unstable_step_degenerates_on_both_paths(n, dt):
     assert expected.termination is Termination.DEGENERATE
     assert got.termination is Termination.DEGENERATE
     assert abs(got.times[-1] - expected.times[-1]) <= dt
+
+
+def ref_modal_states(z, cfg):
+    # the linear flow's modal blocks as they were before the modal screen:
+    # every row of every block formed by one inverse FFT
+    n = z.size
+    c0 = _modes(z)
+    lam = eigenvalues(n)
+    log_gain = np.log1p(_rk4_gain_m1(cfg.dt * lam))
+    k = max(1, _BLOCK // n)
+    t, m = 0.0, 0
+    while True:
+        ts, last = simulate._fixed_steps(t, cfg, k)
+        full = ts.size - last
+        # the modes now, then after each full step
+        c = c0 * np.exp(np.arange(m, m + full + 1)[:, None] * log_gain)
+        if last:
+            h = cfg.t_end - (ts[-2] if full else t)
+            c = np.concatenate((c, c[-1:] * (1.0 + _rk4_gain_m1(h * lam))))
+        t, m = float(ts[-1]), m + full
+        yield ts, np.fft.ifft(c[1:], axis=-1, norm="forward")
+
+
+def ref_modal_run(poly, cfg):
+    """``run`` of the linear flow with every state formed and every row through ``_by_diameter``."""
+    blocks = ref_modal_states(poly.z, cfg)
+    ts, z, steps = np.zeros(1), poly.z[None], 0
+    rec_t, rec_z = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            finite = np.isfinite(z).all(axis=-1)
+            k = ts.size if finite.all() else int(finite.argmin())
+            rules = [
+                (Termination.COLLAPSED, _by_diameter(z[:k], lambda d: d < cfg.stop_diameter)),
+                (Termination.T_END, ~(cfg.t_end - ts[:k] > cfg.dt * 1e-9)),
+            ]
+            i = min([int(hit.argmax()) for _, hit in rules if hit.any()] + [max(simulate.MAX_STEPS - steps, 0), k])
+            if i < k:
+                reached = i + 1
+                termination = next((reason for reason, hit in rules if hit[i]), Termination.MAX_STEPS)
+            else:
+                reached, termination = k, None if k == ts.size else Termination.DEGENERATE
+            first = -steps % cfg.record_every
+            rec_t.append(ts[first:reached:cfg.record_every])
+            rec_z.append(z[first:reached:cfg.record_every])
+            if reached:
+                final = ts[reached - 1 : reached], z[reached - 1 : reached]
+            if termination is not None:
+                break
+            steps += ts.size
+            ts, z = next(blocks)
+    if np.concatenate(rec_t)[-1] != final[0][0]:
+        rec_t.append(final[0])
+        rec_z.append(final[1])
+    return Trajectory(np.concatenate(rec_t), np.concatenate(rec_z), termination)
+
+
+def nudged(x, ulps):
+    for _ in range(abs(ulps)):
+        x = np.nextafter(x, math.copysign(math.inf, ulps))
+    return float(x)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    LINEAR_RUNS,
+    # a regular n-gon, whose U is its diameter when n is even
+    st.booleans(),
+    # from 1.4, RK4 is unstable on the fastest mode of most n, and the screen is off
+    st.one_of(st.none(), st.floats(1.4, 2.5)),
+    # a translation, in initial diameters, and its direction
+    st.one_of(st.just(0.0), st.floats(0.0, 1e8)),
+    st.floats(0.0, 2.0 * math.pi),
+    # the stop at a row's L, U or diameter: the last row of a block, or any row
+    st.sampled_from([None, "lower", "upper", "diameter"]),
+    st.one_of(st.integers(0, 3).map(lambda b: ("block", b)), st.integers(0, 3000).map(lambda j: ("row", j))),
+    # and a few doubles, or a relative 1e-11 at most, either side of it
+    st.one_of(st.integers(-4, 4), st.floats(-1e-11, 1e-11)),
+)
+# states far below the rounding of their centroid, at the origin and away from it
+@example((GeneratorKind.RANDOM_STAR, 3, 0, 1.0, 1.0, 1, 0.0), False, None, 0.0, 0.0, "lower", ("row", 31), 0)
+@example((GeneratorKind.RANDOM_STAR, 6, 0, 1.0, 1.0, 1, 0.0), False, None, 1415.0, 1.0, "lower", ("block", 1), 0)
+# a regular octagon's diameter is U, up to rounding
+@example((GeneratorKind.RANDOM_STAR, 8, 0, 0.75, 1.0, 1, 0.0), True, None, 0.0, 0.0, "upper", ("row", 2), 1)
+def test_modal_screen_against_dense_run(spec, regular, unstable, offset, angle, near, row, nudge):
+    # forming only the states that the run records, its last state and the
+    # rows the modal bounds leave open gives the bits of forming them all
+    kind, n, seed, dt, steps, record_every, stop = spec
+    dt = dt if unstable is None else unstable
+    z = np.exp(2j * np.pi * np.arange(n) / n) if regular else generate(GeneratorSpec(kind, n=n), seed).z
+    z = z + offset * _diameter(z) * np.exp(1j * angle)
+    assume(len(set(z.tolist())) == n)
+    poly, diam0 = Polygon(z), _diameter(z)
+    stop *= diam0
+    if near is not None:
+        j = _BLOCK // n * row[1] if row[0] == "block" else row[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = _modes(z) * np.exp(j * np.log1p(_rk4_gain_m1(dt * eigenvalues(n))))
+            size = np.abs(c[1:])
+            diameter = _diameter(np.fft.ifft(c, norm="forward"))
+            value = {"lower": np.sqrt((size**2).sum()), "upper": 2.0 * size.sum(), "diameter": diameter}[near]
+        assume(np.isfinite(value))
+        stop = nudged(value, nudge) if isinstance(nudge, int) else value * (1.0 + nudge)
+        steps = max(steps, j + 1.5)
+    cfg = SimConfig(t_end=steps * dt, dt=dt, stop_diameter=max(stop, 0.0), record_every=record_every)
+    # bit for bit: termination, times and states
+    assert run(poly, FlowSpec.linear(), cfg) == ref_modal_run(poly, cfg)
 
 
 @settings(deadline=None)

@@ -238,6 +238,45 @@ class TestRunLinear:
         cfg = SimConfig(t_end=100.0, dt=0.05, stop_diameter=1e-3, record_every=7)
         assert run(random_polygon(3, 9), FlowSpec.linear(), cfg).termination is Termination.COLLAPSED
 
+    @staticmethod
+    def inverse_fft_rows(monkeypatch):
+        """The row count of each inverse FFT during the test."""
+        rows, ifft = [], np.fft.ifft
+
+        def counted(a, *args, **kwargs):
+            rows.append(len(a))
+            return ifft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", counted)
+        return rows
+
+    def test_run_far_from_its_stop_takes_no_diameter(self, monkeypatch):
+        # the modal bounds clear every block: no state's diameter is bracketed
+        # or taken, and only the recorded states, and at most one more state a
+        # block, are formed
+        raw = generate(GeneratorSpec(GeneratorKind.RANDOM_STAR, n=12), 300)
+        poly = Polygon(raw.z / raw.diameter())
+
+        def refuse(z):
+            raise AssertionError("a diameter that the modal bounds settle")
+
+        monkeypatch.setattr(geometry, "_diameter_bracket", refuse)
+        monkeypatch.setattr(geometry, "_diameters", refuse)
+        rows = self.inverse_fft_rows(monkeypatch)
+        traj = run(poly, FlowSpec.linear(), SimConfig(t_end=1.0, dt=1e-3, record_every=50))
+        assert traj.termination is Termination.T_END and len(traj) == 21
+        blocks = math.ceil(1000 / (geometry._BLOCK // 12))
+        assert sum(rows) <= len(traj) - 1 + blocks
+
+    def test_unstable_step_forms_every_state(self, monkeypatch):
+        # a growing mode turns the modal bounds off: every state of every
+        # block is formed, as the stop test needs them all
+        rows = self.inverse_fft_rows(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = run(random_polygon(11, 4), FlowSpec.linear(), SimConfig(t_end=1e5, dt=2.0, record_every=50))
+        assert traj.termination is Termination.DEGENERATE
+        assert sum(rows) >= traj.times[-1] / 2.0 > 10 * len(traj)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n, dt", [(4, 2.0), (12, 3.0)])
     def test_unstable_step_degenerates_without_warnings(self, n, dt):
