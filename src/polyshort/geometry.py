@@ -65,16 +65,29 @@ _BLOCK = 4096
 _BRACKET_ULPS = 16.0 * np.finfo(np.float64).eps
 
 
+_COMPLEX = np.dtype(np.complex128)
+_new = object.__new__
+
+
+def _has_bool(v) -> bool:
+    # whether a bool hides in the vertex sequence v: numpy promotes one among numbers to 1 or 0
+    if isinstance(v, np.ndarray):
+        return v.dtype.kind == "b" or (v.dtype.kind == "O" and any(map(_has_bool, v.flat)))
+    if isinstance(v, (list, tuple)):
+        return any(map(_has_bool, v))
+    return isinstance(v, (bool, np.bool_))
+
+
 def _as_complex_vertices(vertices) -> np.ndarray:
     arr = np.asarray(vertices)
     if arr.ndim == 2 and arr.shape[-1] == 2:
-        if arr.dtype.kind not in "iufO":
+        if arr.dtype.kind not in "iufO" or _has_bool(vertices):
             raise TypeError("vertex coordinates must be real numbers")
         # assigned, not x + 1j * y: 1j * inf multiplies 0 by inf and warns
         z = np.empty(len(arr), dtype=np.complex128)
         z.real, z.imag = arr[:, 0], arr[:, 1]
         return z
-    if arr.dtype.kind not in "iufcO":
+    if arr.dtype.kind not in "iufcO" or _has_bool(vertices):
         raise TypeError("vertices must be numbers")
     return np.array(arr, dtype=np.complex128)
 
@@ -114,13 +127,12 @@ class Polygon:
         # Trusted constructor for derived states (integrator output, closed-form
         # evaluation, file round-trips) where a collapsing polygon may round to
         # coincident vertices.  Skips the distinctness check only.  A read-only
-        # complex array (a row of Trajectory.z) is shared, not copied.
-        p = cls.__new__(cls)
-        zz = np.asarray(z, dtype=np.complex128)
-        if zz.flags.writeable:
-            zz = zz.copy()
-            zz.flags.writeable = False
-        p.z = zz
+        # complex128 array (a row of Trajectory.z) is shared, not copied.
+        p = _new(cls)
+        if z.dtype is not _COMPLEX or z.flags.writeable:
+            z = np.array(z, dtype=np.complex128)
+            z.flags.writeable = False
+        p.z = z
         return p
 
     @property
@@ -480,18 +492,22 @@ def _simple(z: np.ndarray, tags: np.ndarray, folded: np.ndarray) -> np.ndarray:
     if not open_rows.size:
         return simple
     zn = _next(z)
-    # side k runs from vertex k to k+1; test the pairs i < j that share no vertex
+    # side k runs from vertex k to k+1; test the pairs i < j that share no vertex,
+    # in order of i, then j: side i pairs with sides i+2 .. n-1, but side 0 not with side n-1
     n = z.shape[-1]
-    k = np.arange(n)
-    apart = np.less_equal.outer(k + 2, k)
-    apart[0, n - 1] = False
-    i, j = np.nonzero(apart)
+    count = np.maximum(n - 2 - np.arange(n), 0)
+    count[0] = max(n - 3, 0)
+    first = np.concatenate(([0], np.cumsum(count)))
+    pairs = int(first[-1])
     # a block holds whole open rows when a row has few pairs, else part of one row
-    rows = max(1, _BLOCK // max(i.size, 1))
+    rows = max(1, _BLOCK // max(pairs, 1))
     for r0 in range(0, open_rows.size, rows):
         live = open_rows[r0 : r0 + rows]
-        for p0 in range(0, i.size, _BLOCK):
-            ii, jj = i[p0 : p0 + _BLOCK], j[p0 : p0 + _BLOCK]
+        for p0 in range(0, pairs, _BLOCK):
+            # the block's pairs, formed from its start
+            p = np.arange(p0, min(p0 + _BLOCK, pairs))
+            ii = np.searchsorted(first, p, side="right") - 1
+            jj = p - first[ii] + ii + 2
             za, zb = z[live], zn[live]
             simple[live] = ~_sides_meet(za[:, ii], zb[:, ii], za[:, jj], zb[:, jj]).any(axis=-1)
             live = live[simple[live]]

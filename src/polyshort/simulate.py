@@ -43,11 +43,16 @@ CURVATURE_STEP_FRACTION = 0.05
 # After this many steps a run ends with termination MAX_STEPS: every run ends.
 MAX_STEPS = 10**6
 
-# A linear run takes its steps as modes in blocks of geometry._BLOCK // n,
-# and forms at most _BLOCK vertex positions at once; the other flows take this
-# many steps ahead of the stop tests.  A stop wastes at most the rest of its
-# block; on the linear path, its modes and the open rows formed past the stop.
+# A linear run takes its steps as modes in blocks of geometry._BLOCK // n, or
+# _SCREENED times as many while its modal screen is on (see _modal_states), and
+# so forms at most _SCREENED * _BLOCK vertex positions at once; the other flows
+# take _STEP_BLOCK steps ahead of the stop tests.  A stop wastes at most the rest
+# of its block; on the linear path, its modes and the open rows formed past the
+# stop.  The screen takes its bounds on every _STRIDE-th row of a block, then on
+# each row of the strides that bracket its crossings.
 _STEP_BLOCK = 8
+_SCREENED = 4
+_STRIDE = 32
 
 
 class Termination(enum.Enum):
@@ -147,7 +152,7 @@ class Trajectory:
     @property
     def states(self) -> list:
         """The recorded states as polygons sharing the rows of ``z``."""
-        return [Polygon._wrap(row) for row in self.z]
+        return list(map(Polygon._wrap, self.z))
 
     @property
     def n(self) -> int:
@@ -251,9 +256,9 @@ class _ModalBlock:
     """States of a block of linear-flow steps, formed from their modes on demand.
 
     Row i has the modes c0 * exp(e[i] * log_gain), times ``short`` in the last
-    row if that is the short step.  Indexing forms the rows asked for alone,
-    with their bits in the whole block: each step is elementwise, and the
-    inverse FFT transforms each row alone.
+    row if that is the short step.  Indexing and ``bounds`` take the rows asked
+    for alone, with their bits in the whole block: each step is elementwise,
+    and the inverse FFT and the sums of the bounds take each row alone.
     """
 
     def __init__(self, c0, log_gain, e, short=None):
@@ -270,43 +275,59 @@ class _ModalBlock:
         c = self._scaled(self.c0, rows)
         return np.fft.ifft(c, axis=-1, norm="forward") if len(c) else c
 
-    def bounds(self, rows):  # L = |c[1:]|_2, the RMS of |z - g| (Parseval), and U = 2 sum |c[1:]|
+    def bounds(self, rows):  # L = sqrt(2) |c[1:]|_2 and U = 2 sum |c[1:]| (see _modal_states)
         b = self._scaled(np.abs(self.c0), rows)[:, 1:]
-        return np.sqrt((b * b).sum(axis=-1)), 2.0 * b.sum(axis=-1)
+        return np.sqrt(2.0 * (b * b).sum(axis=-1)), 2.0 * b.sum(axis=-1)
 
     def open_rows(self, stop, margin):
         # The slice of rows whose collapse L and U leave open: L clears the rows
         # before it, and U shows that its last row collapses if it ends before
-        # the block.  No mode grows, so L of the last row clears all, in O(n).
+        # the block.  No mode grows, so L and U do not increase from row to row:
+        # they are taken on a grid of every _STRIDE-th row and the last, then on
+        # the rows of the strides that end at the first grid row L leaves open
+        # and at the first U proves collapsed.
         k = self.e.size
-        if self.bounds(slice(k - 1, k))[0][0] >= stop + margin:
+        grid = np.append(np.arange(0, k - 1, _STRIDE), k - 1)
+        lower, upper = self.bounds(grid)
+        if lower[-1] >= stop + margin:
             return slice(k, k)
-        lower, upper = self.bounds(slice(0, k))
         proved = upper + margin < stop
-        return slice(int((lower >= stop + margin).argmin()), int(proved.argmax()) + 1 if proved.any() else k)
+        ends = {int((lower < stop + margin).argmax())} | ({int(proved.argmax())} if proved.any() else set())
+        rows = np.concatenate([np.arange(grid[j - 1] + 1 if j else 0, grid[j] + 1) for j in sorted(ends)])
+        # a row has the same bits on the grid and in its stride (see the class
+        # docstring), so each search meets its grid row again at the latest
+        lower, upper = self.bounds(rows)
+        start = int(rows[(lower < stop + margin).argmax()])
+        return slice(start, int(rows[(upper + margin < stop).argmax()]) + 1 if proved.any() else k)
 
 
 def _modal_states(z: np.ndarray, cfg: SimConfig):
     # RK4 steps of the linear flow taken per Fourier mode: the initial state,
-    # then blocks of geometry._BLOCK // n end times and states, each with the
+    # then blocks of end times and states (see _STEP_BLOCK), each with the
     # slice of its rows that the stop test must form.  The flow is circulant,
     # so a step of size h multiplies mode k by R(h * lambda_k) and m steps
     # multiply it by exp(m * log1p(R - 1)); a running product of R ~ 1 - 1e-4
     # would instead grow its rounding with m.
     #
     # While no mode grows, _ModalBlock.open_rows screens the collapse test with
-    # the bounds L and U of the diameter d that _diameters takes of a formed
-    # state z.  The margin covers four roundings, each a few n eps S, S = sum
-    # |c0| with c0_0 included (a polygon far from the origin rounds with its
-    # offset).  The inverse FFT moves each vertex by E <= log2(n) sqrt(n) 6 eps
-    # |c|_2 <= 12 n eps S (the forward FFT moves the initial modes as far).
-    # exp and abs put |c0_k| exp(e l_k) within 4 eps of |c_k|, and the sums in
-    # L and U add n eps.  About the exact centroid g of z, L - E <= max |z - g|
-    # <= d <= U + 4 E, so no computed centroid enters.  _diameters rounds each
-    # distance by 3 eps of at most 2 S.  All stay below 64 n eps S; squares
-    # below the normal range round by up to 2**-1075 each, moving L by up to
-    # sqrt(n) 2**-537.  A growing mode, or modes so large that a square of S
-    # overflows, turn the screen off.
+    # bounds L <= d <= U of the diameter d that _diameters takes of a formed
+    # state z.  Over the n (n - 1) ordered pairs j != j', the mean of
+    # |z_j - z_j'|**2 is 2n/(n - 1) times the mean of |z_j - g|**2 about the
+    # centroid g, which is |c[1:]|_2**2 (Parseval), so d >= sqrt(2) |c[1:]|_2 = L;
+    # and d <= 2 max |z - g| <= 2 sum |c[1:]| = U.  The margin covers the
+    # roundings, each a few n eps S, S = sum |c0| with c0_0 included (a polygon
+    # far from the origin rounds with its offset).  The inverse FFT moves each
+    # vertex by E <= log2(n) sqrt(n) 6 eps |c|_2 <= 12 n eps S (the forward FFT
+    # moves the initial modes as far).  About the exact centroid g of z,
+    # L - 2E <= d <= U + 4E, so no computed centroid enters.  exp and abs put
+    # |c0_k| exp(e l_k) within 4 eps of |c_k|, and the sums in L and U add n eps.
+    # A row between two grid rows is cleared by the L of the later one: the
+    # exact |c_k| do not increase, so its own are at least the later row's
+    # computed ones less 8 eps.  _diameters rounds each distance by 3 eps of at
+    # most 2 S.  All stay below 64 n eps S; squares below the normal range round
+    # by up to 2**-1075 each, moving L by up to sqrt(n) 2**-537.  A growing mode,
+    # or modes so large that a square of S overflows, turn the screen off, and
+    # the blocks keep the length geometry._BLOCK // n.
     n = z.size
     c0 = spectral._modes(z)
     lam = spectral.eigenvalues(n)
@@ -316,7 +337,7 @@ def _modal_states(z: np.ndarray, cfg: SimConfig):
     screen = (log_gain <= 0.0).all() and np.isfinite(size * size)
     first = _ModalBlock(c0, log_gain, np.zeros(1, dtype=np.int64))
     yield np.zeros(1), z[None], first.open_rows(cfg.stop_diameter, margin) if screen else slice(0, 1)
-    k = max(1, geometry._BLOCK // n)
+    k = max(1, (_SCREENED if screen else 1) * geometry._BLOCK // n)
     t, m = 0.0, 0
     while True:
         ts, last = _fixed_steps(t, cfg, k)

@@ -34,7 +34,9 @@ oracle for the linear flow's modal blocks (same termination, bit-equal times,
 states within a few units in the last place) and, bit for bit, for the
 stepped flows.  The modal blocks once formed every state and took the
 collapse test on each; that run is kept as the bit-for-bit oracle for the
-modal bounds, which leave most states unformed.
+modal bounds, which leave most states unformed.  The bounds were once taken
+on every row of a block; that per-row evaluation is the oracle for the search
+on a stride grid.
 """
 
 import itertools
@@ -1173,9 +1175,11 @@ def test_collapse_at_a_block_boundary(n, offset):
     # (offset 0) or the first row of the second (offset 1); the stop lies
     # inside the bracket band of the state before, which only the exact
     # diameter shows to be above it
+    # (a screened block is _SCREENED times longer, and its steps as much
+    # shorter: the first block ends well above the rounding floor)
     poly = generate(GeneratorSpec(GeneratorKind.RANDOM_STAR, n=n), 7)
-    cfg = SimConfig(t_end=1e4, dt=0.05, record_every=3)
-    k = _BLOCK // n
+    cfg = SimConfig(t_end=1e4, dt=0.05 / simulate._SCREENED, record_every=3)
+    k = simulate._SCREENED * _BLOCK // n
     times, d, r = stepped_collapse_band(poly, cfg, k + 2)
     j = k + offset
     stop = 0.5 * (d[j - 1] + d[j])
@@ -1290,9 +1294,14 @@ def nudged(x, ulps):
     # a translation, in initial diameters, and its direction
     st.one_of(st.just(0.0), st.floats(0.0, 1e8)),
     st.floats(0.0, 2.0 * math.pi),
-    # the stop at a row's L, U or diameter: the last row of a block, or any row
+    # the stop at a row's L, U or diameter: the last row of a block, a row of
+    # a block's stride grid or one either side of it, or any row
     st.sampled_from([None, "lower", "upper", "diameter"]),
-    st.one_of(st.integers(0, 3).map(lambda b: ("block", b)), st.integers(0, 3000).map(lambda j: ("row", j))),
+    st.one_of(
+        st.integers(0, 3).map(lambda b: ("block", b)),
+        st.tuples(st.integers(0, 2), st.integers(0, 130), st.integers(-1, 1)).map(lambda g: ("grid", g)),
+        st.integers(0, 3000).map(lambda j: ("row", j)),
+    ),
     # and a few doubles, or a relative 1e-11 at most, either side of it
     st.one_of(st.integers(-4, 4), st.floats(-1e-11, 1e-11)),
 )
@@ -1301,6 +1310,9 @@ def nudged(x, ulps):
 @example((GeneratorKind.RANDOM_STAR, 6, 0, 1.0, 1.0, 1, 0.0), False, None, 1415.0, 1.0, "lower", ("block", 1), 0)
 # a regular octagon's diameter is U, up to rounding
 @example((GeneratorKind.RANDOM_STAR, 8, 0, 0.75, 1.0, 1, 0.0), True, None, 0.0, 0.0, "upper", ("row", 2), 1)
+# an equilateral triangle's diameter is sqrt(3) RMS = sqrt(2n/(n-1)) RMS, where
+# L = sqrt(2) RMS must stay below it: the stop at the diameter of row 40
+@example((GeneratorKind.RANDOM_STAR, 3, 0, 0.05, 1.0, 1, 0.0), True, None, 0.0, 0.0, "diameter", ("row", 40), 0)
 def test_modal_screen_against_dense_run(spec, regular, unstable, offset, angle, near, row, nudge):
     # forming only the states that the run records, its last state and the
     # rows the modal bounds leave open gives the bits of forming them all
@@ -1312,18 +1324,126 @@ def test_modal_screen_against_dense_run(spec, regular, unstable, offset, angle, 
     poly, diam0 = Polygon(z), _diameter(z)
     stop *= diam0
     if near is not None:
-        j = _BLOCK // n * row[1] if row[0] == "block" else row[1]
+        # a screened block is _SCREENED times longer; row i of a block of k
+        # steps after b of them is the state after k b + 1 + i steps
+        k = (simulate._SCREENED if unstable is None else 1) * _BLOCK // n
+        if row[0] == "grid":
+            b, q, d = row[1]
+            j = k * b + 1 + simulate._STRIDE * q + d
+        else:
+            j = k * row[1] if row[0] == "block" else row[1]
         with np.errstate(over="ignore", invalid="ignore"):
             c = _modes(z) * np.exp(j * np.log1p(_rk4_gain_m1(dt * eigenvalues(n))))
             size = np.abs(c[1:])
             diameter = _diameter(np.fft.ifft(c, norm="forward"))
-            value = {"lower": np.sqrt((size**2).sum()), "upper": 2.0 * size.sum(), "diameter": diameter}[near]
+            value = {"lower": np.sqrt(2.0 * (size**2).sum()), "upper": 2.0 * size.sum(), "diameter": diameter}[near]
         assume(np.isfinite(value))
         stop = nudged(value, nudge) if isinstance(nudge, int) else value * (1.0 + nudge)
         steps = max(steps, j + 1.5)
     cfg = SimConfig(t_end=steps * dt, dt=dt, stop_diameter=max(stop, 0.0), record_every=record_every)
     # bit for bit: termination, times and states
     assert run(poly, FlowSpec.linear(), cfg) == ref_modal_run(poly, cfg)
+
+
+def ref_row_bounds(block, stop, margin):
+    """Per row of a ``_ModalBlock``: does its L clear it, and does its U prove it collapsed?
+
+    L and U are taken on every row, as the modal screen once took them.
+    """
+    b = np.abs(block.c0) * np.exp(block.e[:, None] * block.log_gain)
+    if block.short is not None:
+        b[-1] *= block.short
+    b = b[:, 1:]
+    lower, upper = np.sqrt(2.0 * (b * b).sum(axis=-1)), 2.0 * b.sum(axis=-1)
+    return lower >= stop + margin, upper + margin < stop
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.sampled_from([GeneratorKind.RANDOM_STAR, GeneratorKind.RANDOM_CONVEX]),
+    st.integers(3, 40),
+    st.integers(0, 2**32),
+    st.floats(1e-3, 1.35),
+    # the block: steps before it, its length, and a short last step
+    st.integers(0, 5000),
+    st.integers(1, 5000),
+    st.one_of(st.none(), st.floats(0.0, 1.0)),
+    # the stop near a row's L or U, a few doubles either side of it, or anywhere
+    st.sampled_from(["lower", "upper", "anywhere"]),
+    st.integers(0, 4999),
+    st.integers(-4, 4),
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, 1e-12, 1e-6]),
+)
+# a crossing on the last grid row before the last row, and one just after it
+@example(GeneratorKind.RANDOM_STAR, 12, 1, 0.05, 0, 1364, None, "lower", 1344, 0, 0.0, 0.0)
+@example(GeneratorKind.RANDOM_STAR, 12, 1, 0.05, 0, 1364, None, "upper", 1345, 0, 0.0, 0.0)
+def test_strided_search_against_every_row(kind, n, seed, dt, before, k, short, near, j, nudge, frac, margin):
+    # every row before the open slice is cleared by its own L, and its last
+    # row is proved collapsed by its own U, or the slice runs to the block's end
+    z = generate(GeneratorSpec(kind, n=n), seed).z
+    lam = eigenvalues(n)
+    log_gain = np.log1p(_rk4_gain_m1(dt * lam))
+    gain = None if short is None else 1.0 + _rk4_gain_m1(short * dt * lam)
+    block = simulate._ModalBlock(_modes(z), log_gain, np.arange(before + 1, before + k + 1), gain)
+    margin *= _diameter(z)
+    j = min(j, k - 1)
+    b = np.abs(block.c0) * np.exp(block.e[j] * log_gain)
+    if j == k - 1 and gain is not None:
+        b = b * gain
+    b = b[1:]
+    if near == "lower":
+        stop = nudged(np.sqrt(2.0 * (b * b).sum()), nudge) - margin
+    elif near == "upper":
+        stop = nudged(2.0 * b.sum(), nudge) + margin
+    else:
+        stop = frac * _diameter(z)
+    cleared, proved = ref_row_bounds(block, stop, margin)
+    rows = block.open_rows(stop, margin)
+    assert 0 <= rows.start <= rows.stop <= k
+    assert cleared[: rows.start].all()
+    assert rows.stop == k or proved[rows.stop - 1]
+    # no mode grows, so the grid search opens what the per-row search opens
+    assert rows.start == (k if cleared.all() else int(cleared.argmin()))
+    assert rows.stop == (int(proved.argmax()) + 1 if proved.any() else k) or rows.start == k
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)), min_size=3, max_size=12, unique=True))
+def test_diameter_is_at_least_sqrt2_times_rms(points):
+    # Over the ordered pairs j != j', the mean of |z_j - z_j'|**2 is 2n/(n-1)
+    # times the mean of |z_j - g|**2, exactly; so the squared diameter is at
+    # least that, and L = sqrt(2) RMS is a lower bound of the diameter
+    n = len(points)
+    pts = [(Fraction(x, 7), Fraction(y, 3)) for x, y in points]
+    gx, gy = sum(x for x, _ in pts) / n, sum(y for _, y in pts) / n
+    rms2 = sum((x - gx) ** 2 + (y - gy) ** 2 for x, y in pts) / n
+    sq = [(x1 - x2) ** 2 + (y1 - y2) ** 2 for (x1, y1), (x2, y2) in itertools.permutations(pts, 2)]
+    assert sum(sq) / (n * (n - 1)) == Fraction(2 * n, n - 1) * rms2
+    assert max(sq) >= Fraction(2 * n, n - 1) * rms2 >= 2 * rms2
+
+
+@pytest.mark.parametrize(
+    "n, dt, t_end, stop, record_every, termination",
+    [
+        # collapse, as a linear_ensemble item runs it
+        (12, 0.05, 400.0, 1e-4, 10, Termination.COLLAPSED),
+        # T_END after two screened blocks and part of a third
+        (7, 0.05, 300.0, 0.0, 10, Termination.T_END),
+        # every state recorded, to collapse
+        (5, 0.05, 400.0, 1e-3, 1, Termination.COLLAPSED),
+        # a growing mode: the screen is off, and the blocks keep _BLOCK // n steps
+        (9, 1.6, 1e5, 1e-3, 7, Termination.DEGENERATE),
+    ],
+    ids=["collapse", "t_end", "record_every_1", "growing_mode"],
+)
+def test_linear_run_against_dense_run(n, dt, t_end, stop, record_every, termination):
+    poly = generate(GeneratorSpec(GeneratorKind.RANDOM_STAR, n=n), 11)
+    cfg = SimConfig(t_end=t_end, dt=dt, stop_diameter=stop * _diameter(poly.z), record_every=record_every)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = run(poly, FlowSpec.linear(), cfg)
+    assert got.termination is termination
+    assert got == ref_modal_run(poly, cfg)
 
 
 @settings(deadline=None)

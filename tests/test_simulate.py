@@ -114,6 +114,13 @@ class TestTrajectory:
         assert a != Trajectory(a.times, signed, a.termination)
         assert a != a.z
 
+    def test_states_share_the_rows(self):
+        traj = run(DIAMOND, FlowSpec.linear(), SimConfig(t_end=0.3, dt=0.01, record_every=5))
+        states = traj.states
+        assert len(states) == len(traj)
+        for s, row in zip(states, traj.z):
+            assert type(s) is Polygon and s.z.base is traj.z and np.shares_memory(s.z, row)
+
     def test_unhashable(self):
         # as a Polygon is: equality compares arrays, which have no hash
         traj = Trajectory([0.0], UNIT_SQUARE.z[None, :], Termination.T_END)
@@ -265,8 +272,22 @@ class TestRunLinear:
         rows = self.inverse_fft_rows(monkeypatch)
         traj = run(poly, FlowSpec.linear(), SimConfig(t_end=1.0, dt=1e-3, record_every=50))
         assert traj.termination is Termination.T_END and len(traj) == 21
-        blocks = math.ceil(1000 / (geometry._BLOCK // 12))
+        blocks = math.ceil(1000 / (simulate._SCREENED * geometry._BLOCK // 12))
         assert sum(rows) <= len(traj) - 1 + blocks
+
+    @pytest.mark.parametrize("dt, screened", [(0.05, True), (2.0, False)])
+    def test_screened_blocks_take_more_steps(self, dt, screened):
+        # a block the modal bounds screen takes _SCREENED times the steps of
+        # one they cannot (a growing mode), which forms every state it takes
+        poly = random_polygon(11, 12)
+        cfg = SimConfig(t_end=1e4, dt=dt, stop_diameter=0.0, record_every=50)
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks = simulate._modal_states(poly.z, cfg)
+            next(blocks)
+            ts, z, rows = next(blocks)
+        k = (simulate._SCREENED if screened else 1) * geometry._BLOCK // 12
+        assert ts.size == k
+        assert isinstance(z, simulate._ModalBlock) is screened
 
     def test_unstable_step_forms_every_state(self, monkeypatch):
         # a growing mode turns the modal bounds off: every state of every
