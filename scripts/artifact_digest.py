@@ -12,8 +12,9 @@ polygon with a straight vertex, a UNIT-speed bisector run, a densely recorded
 linear run of a convex polygon and a linear run of the ``embedded_loss``
 fixture), the CSV and summary JSON of the Menger-Melnikov run of the seed-11
 256-gon that stops being a star, of a linear run whose step is past RK4's
-stability edge, so that its states overflow, and of a Menger-Melnikov run
-that ends when its step no longer advances the time, and the ``analyze`` report
+stability edge, so that its states overflow, of a Menger-Melnikov run that
+ends when its step no longer advances the time and of a UNIT-speed bisector
+run that ends CAPTURE by the default threshold, and the ``analyze`` report
 JSON of every check on ``fig8.csv`` and on the CSV of the first, fourth and
 fifth scenario, then prints ``<sha256>  <file>`` for each file in name order.  Run it before
 and after a change and diff the two outputs: any difference is a changed
@@ -120,6 +121,16 @@ _SCENARIOS = [
         "polygon": {"generator": {"kind": "regular", "n": 5}},
         "flow": {"kind": "menger_melnikov"},
         "sim": {"t_end": 1e6, "dt": 1, "stop_diameter": 0, "record_every": 7},
+        "outputs": ["csv", "report_json"],
+    },
+    # the short bottom edge of this pentagon closes by under 1e-6 a step, so no
+    # step jumps over the default capture threshold, 1e-6 times the diameter 2:
+    # the run ends CAPTURE after 214 steps, mid-block at blocks of 8 and of 32
+    {
+        "name": "bisector_capture",
+        "polygon": {"vertices": [[-1, 0], [0, -0.5], [1e-4, -0.5], [1, 0], [0, 1]]},
+        "flow": {"kind": "bisector", "speed_mode": "unit"},
+        "sim": {"t_end": 1e-3, "dt": 1e-6, "record_every": 10},
         "outputs": ["csv", "report_json"],
     },
 ]

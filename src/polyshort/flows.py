@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Polygon, _circumcircle_terms, _next, _prev
+from .geometry import Polygon, _circumcircle_terms, _ring
 
 __all__ = [
     "FlowKind",
@@ -83,8 +83,9 @@ class FlowSpec:
             if self.bisector_speed_mode is None:
                 raise ValueError("bisector flow needs a speed mode")
             if self.bisector_speed_mode is BisectorSpeedMode.UNIT:
-                if self.bisector_speed is None or self.bisector_speed <= 0.0:
-                    raise ValueError("UNIT bisector flow needs a positive speed")
+                # NaN fails every comparison; an infinite speed has no finite velocity
+                if self.bisector_speed is None or not 0.0 < self.bisector_speed < np.inf:
+                    raise ValueError("UNIT bisector flow needs a positive finite speed")
             elif self.bisector_speed is not None:
                 raise ValueError("NORM_MATCHED bisector flow takes no speed")
         else:
@@ -127,12 +128,13 @@ class VelocityField:
 
 
 def _linear_field(z: np.ndarray) -> np.ndarray:
-    return 0.5 * (_next(z) + _prev(z)) - z
+    y = z[_ring(z.size)]
+    return 0.5 * (y[2:] + y[:-2]) - z
 
 
 def _menger_melnikov_field(z: np.ndarray) -> np.ndarray:
-    zp = _prev(z)
-    zn = _next(z)
+    y = z[_ring(z.size)]
+    zp, zn = y[:-2], y[2:]
     if np.count_nonzero(zp == z) or np.count_nonzero(zp == zn):
         raise DegenerateTripleError("coincident points in a curvature triple")
     num, cross, ok, s = _circumcircle_terms(zp, z, zn)
@@ -141,13 +143,14 @@ def _menger_melnikov_field(z: np.ndarray) -> np.ndarray:
 
 
 def _bisector_direction(z: np.ndarray) -> np.ndarray:
-    zn = _next(z)
-    e_next = zn - z
-    ln = np.abs(e_next)
+    # e[i] = z_i - z_{i-1} for i = 0 .. n, indices mod n: edge n-1 -> 0 is both e[0] and e[n]
+    y = z[_ring(z.size)]
+    e = y[1:] - y[:-1]
+    ln = np.abs(e)
     if np.count_nonzero(ln) < ln.size:
         raise CoincidentVerticesError("zero-length edge")
-    # _prev((z - zn) / ln), not -_prev(e_next / ln) or t - _prev(t): both flip signed zeros
-    return _prev((z - zn) / ln) + e_next / ln
+    # (z_{i-1} - z_i) / l_{i-1} is its own subtraction: -e[:-1] or t - _prev(t) flip signed zeros
+    return (y[:-2] - z) / ln[:-1] + e[1:] / ln[1:]
 
 
 def _bisector_field(z: np.ndarray, spec: FlowSpec) -> np.ndarray:

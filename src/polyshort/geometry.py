@@ -20,6 +20,7 @@ circumcircle triple).  Angle-sum tests use the absolute tolerance ``ANGLE_SUM_TO
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -226,6 +227,14 @@ def _next(z: np.ndarray) -> np.ndarray:
 def _prev(z: np.ndarray) -> np.ndarray:
     """z_{i-1}, cyclically along the last axis."""
     return np.concatenate((z[..., -1:], z[..., :-1]), axis=-1)
+
+
+@functools.lru_cache(maxsize=64)
+def _ring(n: int) -> np.ndarray:
+    """The read-only index of z_{n-1}, z_0, ..., z_{n-1}, z_0: one circuit's neighbours in one gather."""
+    ring = np.arange(-1, n + 1) % n
+    ring.flags.writeable = False
+    return ring
 
 
 def _edge_lengths(z: np.ndarray) -> np.ndarray:

@@ -46,11 +46,13 @@ MAX_STEPS = 10**6
 # A linear run takes its steps as modes in blocks of geometry._BLOCK // n, or
 # _SCREENED times as many while its modal screen is on (see _modal_states), and
 # so forms at most _SCREENED * _BLOCK vertex positions at once; the other flows
-# take _STEP_BLOCK steps ahead of the stop tests.  A stop wastes at most the rest
-# of its block; on the linear path, its modes and the open rows formed past the
-# stop.  The screen takes its bounds on every _STRIDE-th row of a block, then on
-# each row of the strides that bracket its crossings.
-_STEP_BLOCK = 8
+# take _STEP_BLOCK steps ahead of the stop tests and so test their stops once
+# per 32 steps, but a step that the curvature cap shortens ends its block.  A
+# stop wastes at most the rest of its block: up to 31 vertex steps, or on the
+# linear path its modes and the open rows formed past the stop.  The screen
+# takes its bounds on every _STRIDE-th row of a block, then on each row of the
+# strides that bracket its crossings.
+_STEP_BLOCK = 32
 _SCREENED = 4
 _STRIDE = 32
 

@@ -177,6 +177,21 @@ def test_scenario_value_of_the_wrong_kind_is_one_error_line(tmp_path, path, valu
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("speed", [math.nan, math.inf, -math.inf])
+def test_non_finite_bisector_speed_is_one_error_line(tmp_path, speed):
+    # json writes these as NaN and Infinity, which json.loads takes; such a
+    # run once wrote a one-sample DEGENERATE trajectory and exited 1
+    doc = with_value(("flow",), {"kind": "bisector", "speed_mode": "unit", "speed": speed})
+    doc["outputs"] = ["csv", "report_json"]
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = cli(["simulate", "--scenario", scenario, "--out-dir", tmp_path])
+    assert code == 2
+    assert err.splitlines() == ["error: UNIT bisector flow needs a positive finite speed"]
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
+
+@pytest.mark.filterwarnings("error")
 def test_simulate_unstable_step_writes_no_warning(tmp_path):
     # dt = 2 is past RK4's stability edge for the fastest mode of this
     # quadrilateral, which grows until it overflows: the run ends DEGENERATE,

@@ -53,6 +53,12 @@ class TestFlowSpec:
                 bisector_speed=-1.0,
             )
 
+    @pytest.mark.parametrize("speed", [np.nan, np.inf, -np.inf])
+    def test_unit_mode_needs_finite_speed(self, speed):
+        # a NaN or infinite speed once made every velocity non-finite
+        with pytest.raises(ValueError, match="UNIT bisector flow needs a positive finite speed"):
+            FlowSpec.bisector(speed=speed)
+
     def test_norm_matched_takes_no_speed(self):
         with pytest.raises(ValueError):
             FlowSpec(
@@ -66,7 +72,7 @@ class TestFlowSpec:
         assert FlowSpec.bisector(norm) == FlowSpec(kind=FlowKind.BISECTOR, bisector_speed_mode=norm)
         with pytest.raises(ValueError, match="takes no speed"):
             FlowSpec.bisector(norm, speed=2.0)
-        with pytest.raises(ValueError, match="positive speed"):
+        with pytest.raises(ValueError, match="positive finite speed"):
             FlowSpec.bisector(speed=0.0)
 
     def test_other_flows_reject_bisector_params(self):

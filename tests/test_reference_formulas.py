@@ -1566,7 +1566,8 @@ def test_default_capture_takes_the_initial_bracket_once(monkeypatch, exact_rows)
     # diameter is 2 sqrt 2 and its bracket about [1.67, 3.33], so the shortest
     # edge lies between the capture threshold and the band's top all run; over
     # seven blocks of steps the capture test still forms the bracket of the
-    # initial polygon once, and takes its exact diameter once
+    # initial polygon once, and takes its exact diameter once.  The run takes
+    # 6.25 blocks' worth of steps, 200 at blocks of 32, over the same 5e-4 time
     z0 = np.array([[-1 - 1j, 1 - 1j, 1 + 1j, 1.5e-6 + 1j, -1.5e-6 + 1j, -1 + 1j]])
     brackets = []
     bracket = geometry._diameter_bracket
@@ -1576,9 +1577,11 @@ def test_default_capture_takes_the_initial_bracket_once(monkeypatch, exact_rows)
         return bracket(z)
 
     monkeypatch.setattr(geometry, "_diameter_bracket", counted)
-    poly, flow, cfg = Polygon(z0[0]), FlowSpec.bisector(), SimConfig(t_end=5e-4, dt=1e-5)
+    poly, flow = Polygon(z0[0]), FlowSpec.bisector()
+    cfg = SimConfig(t_end=5e-4, dt=8e-5 / simulate._STEP_BLOCK)
     got = run(poly, flow, cfg)
     assert got.termination is Termination.T_END
+    assert -(-(len(got) - 1) // simulate._STEP_BLOCK) == 7
     assert (got.min_edge > 1e-6 * poly.diameter()).all() and got.min_edge.min() > 2.99e-6
     # the collapse test brackets the initial state and each of the 7 blocks;
     # the capture test brackets z0 once
@@ -1609,16 +1612,18 @@ def _raising_fields(n_eval):
 @pytest.mark.parametrize("collapse", [False, True])
 def test_raised_degeneracy_at_each_block_row(monkeypatch, flow, record_every, collapse):
     # four field evaluations a step: the failing step falls on each row of the
-    # first two blocks of _STEP_BLOCK = 8 steps and on the first of the third,
-    # at each of the four stages in turn; with collapse, the run collapses at
-    # step 5, and only a failure before that step ends it DEGENERATE
+    # first two blocks of _STEP_BLOCK steps and on the first of the third, at
+    # each of the four stages in turn, in a run of three blocks and part of a
+    # fourth; with collapse, the run collapses at step 5, and only a failure
+    # before that step ends it DEGENERATE
+    block = simulate._STEP_BLOCK
     poly = generate(GeneratorSpec(GeneratorKind.RANDOM_STAR, n=7), 2)
-    cfg = SimConfig(t_end=0.03, dt=1e-3, stop_diameter=0.0, record_every=record_every)
+    cfg = SimConfig(t_end=(3 * block + 6) * 1e-3, dt=1e-3, stop_diameter=0.0, record_every=record_every)
     if collapse:
         d = [_diameter(row) for row in ref_run(poly, flow, replace(cfg, t_end=0.006, record_every=1)).z]
         cfg = replace(cfg, stop_diameter=0.5 * (d[4] + d[5]))
     module = sys.modules[__name__]
-    for n_eval in range(1, 4 * 17 + 1, 3):
+    for n_eval in range(1, 4 * (2 * block + 1) + 1, 3):
         monkeypatch.setattr(simulate, "_field_function", _raising_fields(n_eval))
         monkeypatch.setattr(module, "_field_function", _raising_fields(n_eval))
         expected = ref_run(poly, flow, cfg)
@@ -1679,3 +1684,67 @@ def test_stepped_flows_against_stepped_loop(spec):
         min_edge_capture=None if capture is None else capture * diam0,
     )
     assert run(poly, flow, cfg) == ref_run(poly, flow, cfg)
+
+
+# A convex pentagon with a short bottom edge, 1e-4 long, whose bisectors
+# converge: at unit speed and dt = 1e-6 the edge closes by under 1e-6 a step,
+# so no step jumps over the default capture threshold 1e-6 * 2
+CAPTURE_PENTAGON = Polygon([-1.0, -0.5j, 1e-4 - 0.5j, 1.0, 1j])
+STAR_9 = generate(GeneratorSpec(GeneratorKind.RANDOM_STAR, n=9), 7)
+BISECTOR_STEPS = SimConfig(t_end=1e-3, dt=1e-6, record_every=10)
+# name: polygon, flow, settings and how the run ends
+STOPPED_RUNS = {
+    # after 109 steps, then after 214
+    "capture": (
+        CAPTURE_PENTAGON, FlowSpec.bisector(), replace(BISECTOR_STEPS, min_edge_capture=5e-5), Termination.CAPTURE
+    ),
+    "default_capture": (CAPTURE_PENTAGON, FlowSpec.bisector(), BISECTOR_STEPS, Termination.CAPTURE),
+    # dt is so large that the curvature cap shortens every step
+    "mm_capped": (
+        STAR_9,
+        FlowSpec.menger_melnikov(),
+        SimConfig(t_end=1.0, dt=0.05, stop_diameter=0.5 * STAR_9.diameter(), record_every=2),
+        Termination.COLLAPSED,
+    ),
+    # the regular pentagon whose capped step no longer advances the time
+    "mm_stall": (
+        Polygon(np.exp(2j * np.pi * np.arange(5) / 5)),
+        FlowSpec.menger_melnikov(),
+        SimConfig(t_end=1e6, dt=1.0, stop_diameter=0.0, record_every=7),
+        Termination.DEGENERATE,
+    ),
+    # after 45 steps, with the cap patched
+    "max_steps": (
+        STAR_9,
+        FlowSpec.bisector(speed_mode=BisectorSpeedMode.NORM_MATCHED),
+        SimConfig(t_end=1.0, dt=1e-3, record_every=4),
+        Termination.MAX_STEPS,
+    ),
+}
+
+
+@pytest.mark.parametrize("block", [1, 8, 32])
+def test_block_length_never_shows(monkeypatch, block):
+    # each stopped run has the stepped loop's bits at every block length; the
+    # last block of a run that stops mid-block holds steps past its stop
+    monkeypatch.setattr(simulate, "_STEP_BLOCK", block)
+    first_stop, max_steps, blocks = simulate._first_stop, simulate.MAX_STEPS, {}
+
+    def counted(z, ts, rows, steps, cfg, captured):
+        reached, termination = first_stop(z, ts, rows, steps, cfg, captured)
+        blocks[name].append((ts.size, reached))
+        return reached, termination
+
+    monkeypatch.setattr(simulate, "_first_stop", counted)
+    for name, (poly, flow, cfg, termination) in STOPPED_RUNS.items():
+        blocks[name] = []
+        monkeypatch.setattr(simulate, "MAX_STEPS", 45 if name == "max_steps" else max_steps)
+        got = run(poly, flow, cfg)
+        assert got == ref_run(poly, flow, cfg)
+        assert got.termination is termination
+    # after the initial state, every capped block is one step long
+    assert {size for size, _ in blocks["mm_capped"][1:]} == {1}
+    # the step that no longer advances the time is a block of one unreached row
+    assert blocks.pop("mm_stall")[-1] == (1, 0)
+    mid_block = [name for name, b in blocks.items() if b[-1][1] < b[-1][0]]
+    assert mid_block == ([] if block == 1 else ["capture", "default_capture", "max_steps"])
