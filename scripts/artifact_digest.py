@@ -13,12 +13,12 @@ linear run of a convex polygon and a linear run of the ``embedded_loss``
 fixture), the CSV and summary JSON of the Menger-Melnikov run of the seed-11
 256-gon that stops being a star, of a linear run whose step is past RK4's
 stability edge, so that its states overflow, of a Menger-Melnikov run that
-ends when its step no longer advances the time and of a UNIT-speed bisector
-run that ends CAPTURE by the default threshold, and the ``analyze`` report
-JSON of every check on ``fig8.csv`` and on the CSV of the first, fourth and
-fifth scenario, then prints ``<sha256>  <file>`` for each file in name order.  Run it before
-and after a change and diff the two outputs: any difference is a changed
-artifact.
+ends when its step no longer advances the time, of a UNIT-speed bisector
+run that ends CAPTURE by the default threshold and of a linear run that ends
+COLLAPSED mid-stride, and the ``analyze`` report JSON of every check on
+``fig8.csv`` and on the CSV of the first, fourth and fifth scenario, then
+prints ``<sha256>  <file>`` for each file in name order.  Run it before and
+after a change and diff the two outputs: any difference is a changed artifact.
 """
 
 from __future__ import annotations
@@ -131,6 +131,16 @@ _SCENARIOS = [
         "polygon": {"vertices": [[-1, 0], [0, -0.5], [1e-4, -0.5], [1, 0], [0, 1]]},
         "flow": {"kind": "bisector", "speed_mode": "unit"},
         "sim": {"t_end": 1e-3, "dt": 1e-6, "record_every": 10},
+        "outputs": ["csv", "report_json"],
+    },
+    # a linear run that ends COLLAPSED after 688 steps, at row 687 of its first
+    # modal block, between two rows of the modal screen's stride grid
+    {
+        "name": "linear_collapse",
+        "polygon": {"generator": {"kind": "random_star", "n": 8}},
+        "flow": {"kind": "linear"},
+        "sim": {"t_end": 400, "dt": 0.05, "stop_diameter": 1e-4, "record_every": 10},
+        "seed": 3,
         "outputs": ["csv", "report_json"],
     },
 ]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Polygon, _circumcircle_terms, _ring
+from .geometry import Polygon, _circumcircle_terms, _has_bool, _ring
 
 __all__ = [
     "FlowKind",
@@ -79,6 +79,8 @@ class FlowSpec:
     bisector_speed: float | None = None
 
     def __post_init__(self):
+        if _has_bool(self.bisector_speed):
+            raise TypeError("bisector speed must be a number, not a bool")
         if self.kind is FlowKind.BISECTOR:
             if self.bisector_speed_mode is None:
                 raise ValueError("bisector flow needs a speed mode")

@@ -50,11 +50,11 @@ MAX_STEPS = 10**6
 # per 32 steps, but a step that the curvature cap shortens ends its block.  A
 # stop wastes at most the rest of its block: up to 31 vertex steps, or on the
 # linear path its modes and the open rows formed past the stop.  The screen
-# takes its bounds on every _STRIDE-th row of a block, then on each row of the
-# strides that bracket its crossings.
+# takes its bounds on every _STEP_BLOCK-th row of a block and on its last row,
+# so it too settles a block's stops 32 rows at a time: the rows it leaves open
+# start after a grid row and end on one or at the end of the block.
 _STEP_BLOCK = 32
 _SCREENED = 4
-_STRIDE = 32
 
 
 class Termination(enum.Enum):
@@ -84,6 +84,10 @@ class SimConfig:
     min_edge_capture: float | None = None
 
     def __post_init__(self):
+        # a bool would pass for the number 1 or 0, and any value for a truth value
+        numbers = (self.t_end, self.dt, self.stop_diameter, self.record_every, self.min_edge_capture)
+        if geometry._has_bool(numbers) or not isinstance(self.adaptive, (bool, np.bool_)):
+            raise TypeError("numeric settings must not be bools, and adaptive must be a bool")
         # NaN fails every comparison; an infinite t_end would never end a run
         if not 0.0 < self.t_end < math.inf:
             raise ValueError("t_end must be positive and finite")
@@ -285,22 +289,16 @@ class _ModalBlock:
         # The slice of rows whose collapse L and U leave open: L clears the rows
         # before it, and U shows that its last row collapses if it ends before
         # the block.  No mode grows, so L and U do not increase from row to row:
-        # they are taken on a grid of every _STRIDE-th row and the last, then on
-        # the rows of the strides that end at the first grid row L leaves open
-        # and at the first U proves collapsed.
+        # they are taken on a grid of every _STEP_BLOCK-th row and the last.  The
+        # slice starts after the grid rows that L clears, with the rows between
+        # them (see _modal_states), and ends at the first that U proves collapsed.
         k = self.e.size
-        grid = np.append(np.arange(0, k - 1, _STRIDE), k - 1)
+        grid = np.append(np.arange(0, k - 1, _STEP_BLOCK), k - 1)
         lower, upper = self.bounds(grid)
         if lower[-1] >= stop + margin:
             return slice(k, k)
-        proved = upper + margin < stop
-        ends = {int((lower < stop + margin).argmax())} | ({int(proved.argmax())} if proved.any() else set())
-        rows = np.concatenate([np.arange(grid[j - 1] + 1 if j else 0, grid[j] + 1) for j in sorted(ends)])
-        # a row has the same bits on the grid and in its stride (see the class
-        # docstring), so each search meets its grid row again at the latest
-        lower, upper = self.bounds(rows)
-        start = int(rows[(lower < stop + margin).argmax()])
-        return slice(start, int(rows[(upper + margin < stop).argmax()]) + 1 if proved.any() else k)
+        j, proved = int((lower < stop + margin).argmax()), upper + margin < stop
+        return slice(int(grid[j - 1]) + 1 if j else 0, int(grid[proved.argmax()]) + 1 if proved.any() else k)
 
 
 def _modal_states(z: np.ndarray, cfg: SimConfig):
@@ -348,10 +346,8 @@ def _modal_states(z: np.ndarray, cfg: SimConfig):
         short = 1.0 + spectral._rk4_gain_m1((cfg.t_end - (ts[-2] if full else t)) * lam) if last else None
         block = _ModalBlock(c0, log_gain, np.minimum(np.arange(m + 1, m + ts.size + 1), m + full), short)
         t, m = float(ts[-1]), m + full
-        if screen and (short is None or (short <= 1.0).all()):
-            yield ts, block, block.open_rows(cfg.stop_diameter, margin)
-        else:
-            yield ts, block[:], slice(0, None)
+        screened = screen and (short is None or (short <= 1.0).all())
+        yield ts, block, block.open_rows(cfg.stop_diameter, margin) if screened else slice(0, None)
 
 
 def _capture_test(poly: Polygon, flow: FlowSpec, cfg: SimConfig):
@@ -374,8 +370,8 @@ def _first_stop(z, ts: np.ndarray, rows: slice, steps: int, cfg: SimConfig, capt
     # How many rows of the block z the run reaches, and why it stops at the
     # last of them; or (k, None).  Row i is the state at time ts[i] after
     # steps + i steps.  Only the rows in the slice rows are formed and tested
-    # (_ModalBlock.open_rows settles the others; a stepped block, which alone
-    # may have a capture test, gives all).  The first non-finite row ends the
+    # (a screened linear block's open_rows settles the others; only a stepped
+    # block may have a capture test).  The first non-finite row ends the
     # run DEGENERATE at the row before it.  At each finite state the rules go
     # in the order collapse, capture (if captured, from _capture_test, is not
     # None), end of time, MAX_STEPS (read at call time: a patched cap holds).

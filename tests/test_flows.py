@@ -59,6 +59,14 @@ class TestFlowSpec:
         with pytest.raises(ValueError, match="UNIT bisector flow needs a positive finite speed"):
             FlowSpec.bisector(speed=speed)
 
+    @pytest.mark.parametrize("speed", [True, np.True_])
+    def test_bisector_speed_is_not_a_bool(self, speed):
+        # speed=True once ran at speed 1
+        with pytest.raises(TypeError, match="not a bool"):
+            FlowSpec.bisector(speed=speed)
+        with pytest.raises(TypeError, match="not a bool"):
+            FlowSpec(kind=FlowKind.BISECTOR, bisector_speed_mode=BisectorSpeedMode.NORM_MATCHED, bisector_speed=speed)
+
     def test_norm_matched_takes_no_speed(self):
         with pytest.raises(ValueError):
             FlowSpec(

@@ -1329,7 +1329,7 @@ def test_modal_screen_against_dense_run(spec, regular, unstable, offset, angle, 
         k = (simulate._SCREENED if unstable is None else 1) * _BLOCK // n
         if row[0] == "grid":
             b, q, d = row[1]
-            j = k * b + 1 + simulate._STRIDE * q + d
+            j = k * b + 1 + simulate._STEP_BLOCK * q + d
         else:
             j = k * row[1] if row[0] == "block" else row[1]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -1403,9 +1403,18 @@ def test_strided_search_against_every_row(kind, n, seed, dt, before, k, short, n
     assert 0 <= rows.start <= rows.stop <= k
     assert cleared[: rows.start].all()
     assert rows.stop == k or proved[rows.stop - 1]
-    # no mode grows, so the grid search opens what the per-row search opens
-    assert rows.start == (k if cleared.all() else int(cleared.argmin()))
-    assert rows.stop == (int(proved.argmax()) + 1 if proved.any() else k) or rows.start == k
+    # the bounds are taken on the grid alone: the slice starts after the grid
+    # rows cleared before the first one left open, and ends at the first grid
+    # row proved collapsed, or is empty if the last row is cleared
+    grid = np.append(np.arange(0, k - 1, simulate._STEP_BLOCK), k - 1)
+    i, on_grid = int(cleared[grid].argmin()), proved[grid]
+    window = slice(int(grid[i - 1]) + 1 if i else 0, int(grid[on_grid.argmax()]) + 1 if on_grid.any() else k)
+    assert rows == (slice(k, k) if cleared[-1] else window)
+    # on a grid of every row, the slice is the per-row search's
+    per_row = slice(int(cleared.argmin()), int(proved.argmax()) + 1 if proved.any() else k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_STEP_BLOCK", 1)
+        assert block.open_rows(stop, margin) == (slice(k, k) if cleared.all() else per_row)
 
 
 @settings(deadline=None)
@@ -1720,12 +1729,21 @@ STOPPED_RUNS = {
         SimConfig(t_end=1.0, dt=1e-3, record_every=4),
         Termination.MAX_STEPS,
     ),
+    # after 688 steps, at row 687 of the first modal block: mid-block, and
+    # mid-stride on a modal screen grid of 8 or of 32 rows
+    "linear_collapse": (
+        generate(GeneratorSpec(GeneratorKind.RANDOM_STAR, n=8), 3),
+        FlowSpec.linear(),
+        SimConfig(t_end=400.0, dt=0.05, stop_diameter=1e-4, record_every=10),
+        Termination.COLLAPSED,
+    ),
 }
 
 
 @pytest.mark.parametrize("block", [1, 8, 32])
 def test_block_length_never_shows(monkeypatch, block):
-    # each stopped run has the stepped loop's bits at every block length; the
+    # each stopped run has the stepped loop's bits at every block length, and
+    # the linear run the dense modal run's at every modal screen stride; the
     # last block of a run that stops mid-block holds steps past its stop
     monkeypatch.setattr(simulate, "_STEP_BLOCK", block)
     first_stop, max_steps, blocks = simulate._first_stop, simulate.MAX_STEPS, {}
@@ -1740,11 +1758,12 @@ def test_block_length_never_shows(monkeypatch, block):
         blocks[name] = []
         monkeypatch.setattr(simulate, "MAX_STEPS", 45 if name == "max_steps" else max_steps)
         got = run(poly, flow, cfg)
-        assert got == ref_run(poly, flow, cfg)
+        assert got == (ref_modal_run(poly, cfg) if flow.kind is FlowKind.LINEAR else ref_run(poly, flow, cfg))
         assert got.termination is termination
     # after the initial state, every capped block is one step long
     assert {size for size, _ in blocks["mm_capped"][1:]} == {1}
     # the step that no longer advances the time is a block of one unreached row
     assert blocks.pop("mm_stall")[-1] == (1, 0)
+    assert blocks["linear_collapse"][1][1] == 688
     mid_block = [name for name, b in blocks.items() if b[-1][1] < b[-1][0]]
-    assert mid_block == ([] if block == 1 else ["capture", "default_capture", "max_steps"])
+    assert mid_block == ([] if block == 1 else ["capture", "default_capture", "max_steps"]) + ["linear_collapse"]

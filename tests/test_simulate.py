@@ -64,6 +64,20 @@ class TestSimConfig:
             with pytest.raises(ValueError, match="finite"):
                 SimConfig(t_end=1.0, min_edge_capture=bad)
 
+    @pytest.mark.parametrize("name", ["t_end", "dt", "stop_diameter", "record_every", "min_edge_capture"])
+    @pytest.mark.parametrize("flag", [True, False, np.True_])
+    def test_rejects_bools_as_numbers(self, name, flag):
+        # record_every=True once recorded every step, and dt=True stepped by 1.0
+        with pytest.raises(TypeError, match="must not be bools, and adaptive must be a bool"):
+            SimConfig(**{"t_end": 1.0, name: flag})
+
+    @pytest.mark.parametrize("adaptive", ["no", 0, 1, None])
+    def test_adaptive_must_be_a_bool(self, adaptive):
+        # adaptive="no" once turned the curvature cap on
+        with pytest.raises(TypeError, match="must not be bools, and adaptive must be a bool"):
+            SimConfig(t_end=1.0, adaptive=adaptive)
+        assert SimConfig(t_end=1.0, adaptive=np.False_).adaptive is np.False_
+
 
 class TestTrajectory:
     @pytest.mark.parametrize("times", [[0.0, 1.0], [0.5, 1.0, 2.0], [0.0, 1.0, 1.0], [0.0, 2.0, 1.0]])
@@ -278,7 +292,7 @@ class TestRunLinear:
     @pytest.mark.parametrize("dt, screened", [(0.05, True), (2.0, False)])
     def test_screened_blocks_take_more_steps(self, dt, screened):
         # a block the modal bounds screen takes _SCREENED times the steps of
-        # one they cannot (a growing mode), which forms every state it takes
+        # one they cannot (a growing mode), whose every row the stop test forms
         poly = random_polygon(11, 12)
         cfg = SimConfig(t_end=1e4, dt=dt, stop_diameter=0.0, record_every=50)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -287,7 +301,29 @@ class TestRunLinear:
             ts, z, rows = next(blocks)
         k = (simulate._SCREENED if screened else 1) * geometry._BLOCK // 12
         assert ts.size == k
-        assert isinstance(z, simulate._ModalBlock) is screened
+        assert isinstance(z, simulate._ModalBlock)
+        assert screened or rows == slice(0, None)
+
+    def test_open_rows_takes_the_bounds_once(self, monkeypatch):
+        # the modal screen takes L and U on its stride grid alone: one bounds
+        # call per block, the block of the collapse included
+        calls, bounds, open_rows = [], simulate._ModalBlock.bounds, simulate._ModalBlock.open_rows
+
+        def counted_bounds(block, rows):
+            calls.append("bounds")
+            return bounds(block, rows)
+
+        def counted_open_rows(block, stop, margin):
+            calls.append("open_rows")
+            return open_rows(block, stop, margin)
+
+        monkeypatch.setattr(simulate._ModalBlock, "bounds", counted_bounds)
+        monkeypatch.setattr(simulate._ModalBlock, "open_rows", counted_open_rows)
+        poly = generate(GeneratorSpec(GeneratorKind.RANDOM_STAR, n=8), 3)
+        traj = run(poly, FlowSpec.linear(), SimConfig(t_end=400.0, dt=0.05, stop_diameter=1e-4, record_every=10))
+        assert traj.termination is Termination.COLLAPSED
+        # the initial state, then the first block of steps, where the run collapses
+        assert calls == ["open_rows", "bounds"] * 2
 
     def test_unstable_step_forms_every_state(self, monkeypatch):
         # a growing mode turns the modal bounds off: every state of every
