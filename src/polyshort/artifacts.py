@@ -256,9 +256,11 @@ def render_svg(traj: Trajectory, *, snapshot_times=None, mark_centroid: bool = F
     Snapshot states are drawn as solid closed outlines (defaulting to five
     states evenly spread over the recording); each vertex's path through time
     is a dashed polyline; ``mark_centroid`` adds an asterisk at the initial
-    centroid.  Identical trajectories and options yield byte-identical text.
-    Raises ``ValueError`` for an empty trajectory or one whose extent is not
-    finite.
+    centroid.  Each snapshot time draws the recorded state nearest to it; a
+    time outside the recording draws its nearer end.  Identical trajectories
+    and options yield byte-identical text.  Raises ``ValueError`` for an empty
+    trajectory, one whose extent is not finite, or a NaN or infinite snapshot
+    time.
     """
     if len(traj) == 0:
         raise ValueError("refusing to render an empty trajectory")
@@ -266,7 +268,12 @@ def render_svg(traj: Trajectory, *, snapshot_times=None, mark_centroid: bool = F
     if snapshot_times is None:
         picks = sorted({int(round(f * (count - 1) / 4.0)) for f in range(5)})
     else:
-        picks = sorted({int(np.argmin(np.abs(traj.times - float(t)))) for t in snapshot_times})
+        wanted = np.array([float(t) for t in snapshot_times])
+        if not np.isfinite(wanted).all():
+            raise ValueError("snapshot times must be finite")
+        # a time outside the recording takes its nearer end: far out, every distance rounds alike
+        wanted = np.clip(wanted, traj.times[0], traj.times[-1])
+        picks = sorted({int(np.argmin(np.abs(traj.times - t))) for t in wanted})
     # canvas bounds over everything drawn (y flipped so the picture is upright)
     g0 = complex(traj.z[0].mean())
     x0, x1 = float(traj.z.real.min()), float(traj.z.real.max())

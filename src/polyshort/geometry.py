@@ -495,6 +495,8 @@ def _simple(z: np.ndarray, tags: np.ndarray, folded: np.ndarray) -> np.ndarray:
     """Per row of the ``(S, n)`` stack ``z`` with :func:`_convexity_classes` ``tags`` and ``folded``: is it simple?
 
     A folded row is not simple, a STRICTLY_CONVEX row is; only the other rows form side pairs (see :func:`is_simple`).
+    A pair goes to :func:`_sides_meet` only when the sides' bounding boxes overlap once one is grown by the margin
+    g = 4 ``PREDICATE_TOL`` (W + H), W and H the extents of the row's box: no other pair can meet.
     """
     simple = ~folded
     open_rows = np.flatnonzero(simple & (tags != ConvexityTag.STRICTLY_CONVEX))
@@ -512,16 +514,36 @@ def _simple(z: np.ndarray, tags: np.ndarray, folded: np.ndarray) -> np.ndarray:
     rows = max(1, _BLOCK // max(pairs, 1))
     for r0 in range(0, open_rows.size, rows):
         live = open_rows[r0 : r0 + rows]
+        za, zb = z[live], zn[live]
+        # side k's box: its x and y extents
+        x0, x1 = np.minimum(za.real, zb.real), np.maximum(za.real, zb.real)
+        y0, y1 = np.minimum(za.imag, zb.imag), np.maximum(za.imag, zb.imag)
+        # _sides_meet calls a pair meeting only when the sides cross, or when an end lies
+        # within 2 tol_len of the other side.  tol_len is PREDICATE_TOL times the largest
+        # of four L1 lengths, each at most W + H, the extents of the row's box; in floating
+        # point too, as rounding is monotone.  So boxes apart by more than
+        # 2 PREDICATE_TOL (W + H) hold no meeting pair, and g = 4 PREDICATE_TOL (W + H)
+        # leaves a factor 2 for rounding
+        g = 4.0 * PREDICATE_TOL * (x1.max(axis=-1) - x0.min(axis=-1) + y1.max(axis=-1) - y0.min(axis=-1))
+        x0, y0 = x0 - g[:, None], y0 - g[:, None]
         for p0 in range(0, pairs, _BLOCK):
             # the block's pairs, formed from its start
             p = np.arange(p0, min(p0 + _BLOCK, pairs))
             ii = np.searchsorted(first, p, side="right") - 1
             jj = p - first[ii] + ii + 2
-            za, zb = z[live], zn[live]
-            simple[live] = ~_sides_meet(za[:, ii], zb[:, ii], za[:, jj], zb[:, jj]).any(axis=-1)
-            live = live[simple[live]]
-            if not live.size:
-                break
+            # only pairs whose boxes are not apart by more than g can meet: a strict >
+            # keeps a NaN box, and an infinite g, from an infinite or NaN row, every pair
+            apart = (x0[:, jj] > x1[:, ii]) | (x0[:, ii] > x1[:, jj]) | (y0[:, jj] > y1[:, ii]) | (y0[:, ii] > y1[:, jj])
+            r, k = np.nonzero(~apart)
+            if not r.size:
+                continue
+            i, j = ii[k], jj[k]
+            simple[live[r[_sides_meet(za[r, i], zb[r, i], za[r, j], zb[r, j])]]] = False
+            keep = simple[live]
+            if not keep.all():
+                live, za, zb, x0, x1, y0, y1 = (a[keep] for a in (live, za, zb, x0, x1, y0, y1))
+                if not live.size:
+                    break
     return simple
 
 
@@ -532,6 +554,9 @@ def is_simple(poly: Polygon) -> bool:
     Otherwise all O(n^2) side pairs are checked.  Non-adjacent sides must not meet;
     touching within ``PREDICATE_TOL`` of the local scale counts as meeting.  Adjacent
     sides meet only at their shared vertex: one doubling back makes it non-simple.
+    A pair whose bounding boxes lie apart by more than 4 ``PREDICATE_TOL`` (W + H),
+    W and H the extents of the circuit's box, cannot meet, so only the other pairs
+    take the banded test.
     """
     tags, _, _, folded = _convexity_classes(poly.z[None])
     return bool(_simple(poly.z[None], tags, folded)[0])

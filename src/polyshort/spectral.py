@@ -119,14 +119,14 @@ def decompose(poly: Polygon) -> SpectralDecomposition:
 
 
 def closed_form_state(decomp: SpectralDecomposition, t: float) -> Polygon:
-    """Exact state of the linear flow at time ``t >= 0``.
+    """Exact state of the linear flow at a finite time ``t >= 0``.
 
     Each modal coefficient is scaled by ``exp(lambda_k * t)`` and the modes are
     resummed by the inverse FFT.  At large ``t`` all vertices approach the
-    centroid.
+    centroid.  Raises ``ValueError`` for a negative, infinite or NaN ``t``.
     """
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
+    if not 0.0 <= t < np.inf:
+        raise ValueError("time must be finite and nonnegative")
     c = decomp.modal_coeffs * np.exp(decomp.eigenvalues * t)
     return Polygon._wrap(np.fft.ifft(c, norm="forward"))
 

@@ -382,6 +382,21 @@ class TestIsSimple:
         with pytest.raises(AssertionError, match="_sides_meet called"):
             is_simple(Polygon(_BOOMERANG_VERTICES))
 
+    def test_box_screen_sends_few_pairs(self, monkeypatch):
+        # the star20 item of the artifact_roundtrip benchmark at seed 1: its 49
+        # rows that are not STRICTLY_CONVEX hold 8 330 side pairs that share no
+        # vertex, and sending all of them to _sides_meet found no crossing
+        poly = generate(GeneratorSpec(GeneratorKind.RANDOM_STAR, n=20), 1016)
+        traj = run(poly, FlowSpec.linear(), SimConfig(t_end=3.0, dt=0.05, record_every=1))
+        tags, _, _, folded = geometry._convexity_classes(traj.z)
+        open_rows = int((~folded & (tags != ConvexityTag.STRICTLY_CONVEX)).sum())
+        all_pairs = open_rows * 20 * (20 - 3) // 2
+        assert (len(traj), open_rows, all_pairs) == (61, 49, 8330)
+        sent, real = [], geometry._sides_meet
+        monkeypatch.setattr(geometry, "_sides_meet", lambda *sides: sent.append(sides[0].size) or real(*sides))
+        assert geometry._simple(traj.z, tags, folded).all()
+        assert sum(sent) < 0.01 * all_pairs
+
     @pytest.mark.parametrize(
         "poly, limit_mb",
         [(regular_ngon(1000), 1.0), (generate(GeneratorSpec(GeneratorKind.RANDOM_STAR, n=1000), 1), 2.0)],

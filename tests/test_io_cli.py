@@ -351,6 +351,21 @@ class TestRenderSvg:
         assert d.endswith("Z")
         assert "viewBox=" in svg
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_snapshot_time_that_is_not_finite(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            render_svg(small_trajectory(), snapshot_times=[0.01, t])
+
+    def test_snapshot_time_outside_the_run_draws_its_nearer_end(self):
+        # far out, every |times - t| rounded to |t| and the first row won the tie
+        sq = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+        traj = run(sq, FlowSpec.linear(), SimConfig(t_end=1.0, dt=0.1))
+        first, last = (render_svg(traj, snapshot_times=[t]) for t in (0.0, 1.0))
+        assert first != last
+        assert render_svg(traj, snapshot_times=[-1e300]) == render_svg(traj, snapshot_times=[-5.0]) == first
+        assert render_svg(traj, snapshot_times=[1e300]) == render_svg(traj, snapshot_times=[5.0]) == last
+        assert render_svg(traj, snapshot_times=[1e300, 0.0]) == render_svg(traj, snapshot_times=[0.0, 1.0])
+
     def test_default_five_snapshots_and_paths(self):
         traj = small_trajectory()
         svg = render_svg(traj)

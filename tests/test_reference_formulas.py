@@ -36,7 +36,9 @@ stepped flows.  The modal blocks once formed every state and took the
 collapse test on each; that run is kept as the bit-for-bit oracle for the
 modal bounds, which leave most states unformed.  The bounds were once taken
 on every row of a block; that per-row evaluation is the oracle for the search
-on a stride grid.
+on a stride grid.  The pair test once sent every side pair of an open row to
+``_sides_meet``; that all-pairs loop is the oracle for the screen that leaves
+out the pairs whose bounding boxes lie apart.
 """
 
 import itertools
@@ -96,6 +98,7 @@ from polyshort.geometry import (  # noqa: E402
     _l1,
     _next,
     _prev,
+    _sides_meet,
     _simple,
     _star_classes,
     _star_values,
@@ -912,6 +915,102 @@ def test_simple_spans_pair_blocks():
         assert z.shape[0] * n * (n - 3) // 2 > 2 * _BLOCK
         got = [bool(v) for v in _simple(z, tags, folded)]
         assert got == [ref_is_simple(row) for row in z] == [k is None for k in swaps]
+
+
+def ref_all_pairs_simple(z, tags, folded):
+    """``_simple`` as it sent every side pair of an open row to ``_sides_meet``, a block of pairs at a time."""
+    simple = ~folded
+    open_rows = np.flatnonzero(simple & (tags != ConvexityTag.STRICTLY_CONVEX))
+    if not open_rows.size:
+        return simple
+    zn = _next(z)
+    n = z.shape[-1]
+    count = np.maximum(n - 2 - np.arange(n), 0)
+    count[0] = max(n - 3, 0)
+    first = np.concatenate(([0], np.cumsum(count)))
+    pairs = int(first[-1])
+    rows = max(1, _BLOCK // max(pairs, 1))
+    for r0 in range(0, open_rows.size, rows):
+        live = open_rows[r0 : r0 + rows]
+        for p0 in range(0, pairs, _BLOCK):
+            p = np.arange(p0, min(p0 + _BLOCK, pairs))
+            ii = np.searchsorted(first, p, side="right") - 1
+            jj = p - first[ii] + ii + 2
+            za, zb = z[live], zn[live]
+            simple[live] = ~_sides_meet(za[:, ii], zb[:, ii], za[:, jj], zb[:, jj]).any(axis=-1)
+            live = live[simple[live]]
+            if not live.size:
+                break
+    return simple
+
+
+def margin_row(s, swap=False):
+    """A pentagon whose vertex 3, where sides 2 and 3 meet, lies ``s`` above the middle of side 0.
+
+    For 0 <= s <= 2 its box is 2 by 2, so the screen's margin is g = 16 ``PREDICATE_TOL``,
+    and side 0 with side 2 has tol_len = 4 ``PREDICATE_TOL``.  ``swap`` mirrors the
+    pentagon in the diagonal, so that the gap lies along x.
+    """
+    z = np.array([0, 2, 2 + 2j, 1 + s * 1j, 2j])
+    return 1j * z.conj() if swap else z
+
+
+_G = 16 * PREDICATE_TOL
+# side 0 touched, 2 tol_len from it, and just inside and just outside g, along y and along x
+MARGIN_ROWS = np.array(
+    [
+        margin_row(s, swap)
+        for swap in (False, True)
+        for s in (0.0, 8 * PREDICATE_TOL, np.nextafter(_G, 0), _G, np.nextafter(_G, 1))
+    ]
+)
+NON_FINITE_ROWS = np.array(
+    [
+        [0, 2, 2 + 2j, 1 + np.nan * 1j, 2j],
+        [0, 2, 2 + 2j, np.inf + 0j, 2j],
+        [0, 2, np.inf + np.inf * 1j, 1, 2j],
+        [-np.inf, 2, 2 + 2j, 1 + 0j, 2j],
+        [0, 2, 2 + 2j, 1 + 1j, complex(np.nan, np.inf)],
+        [0, 2, 2 + 2j, 1 + 1j, 2j],
+    ]
+)
+
+
+@given(st.one_of(STACK, GRID_STACK, CIRCLE_STACK, WIDE_STACK))
+@example(MARGIN_ROWS)
+@example(NON_FINITE_ROWS)
+def test_box_screen_keeps_every_verdict(z):
+    # the screen leaves out only pairs that _sides_meet rejects; a NaN or infinite
+    # row keeps all its pairs
+    with np.errstate(all="ignore"):
+        tags, _, _, folded = _convexity_classes(z)
+        assert np.array_equal(_simple(z, tags, folded), ref_all_pairs_simple(z, tags, folded))
+
+
+def test_box_screen_margin(monkeypatch):
+    # side 0 reaches _sides_meet with sides 2 and 3 while vertex 3 is within g of
+    # it, along either axis; all other pairs lie apart by 1 or more
+    sent, real = [], geometry._sides_meet
+    monkeypatch.setattr(geometry, "_sides_meet", lambda *sides: sent.append(sides[0].size) or real(*sides))
+    for swap in (False, True):
+        for s, pairs in ((0.0, 2), (np.nextafter(_G, 0), 2), (_G, 2), (np.nextafter(_G, 1), 0), (1.0, 0)):
+            sent.clear()
+            assert stacked_simple(margin_row(s, swap)[None])[0] == (s > 0)
+            assert sum(sent) == pairs
+    # the finite last row sends no pair, each of the others all five
+    sent.clear()
+    with np.errstate(all="ignore"):
+        stacked_simple(NON_FINITE_ROWS)
+    assert sum(sent) == 5 * 5
+
+
+def test_embedded_loss_verdicts():
+    loss = generate(GeneratorSpec(GeneratorKind.EMBEDDED_LOSS), 0)
+    traj = run(loss, FlowSpec.linear(), SimConfig(t_end=1.5, dt=1e-3, record_every=10))
+    tags, _, _, folded = _convexity_classes(traj.z)
+    simple = _simple(traj.z, tags, folded)
+    assert (simple.size, int(simple.sum())) == (151, 77)
+    assert np.array_equal(simple, ref_all_pairs_simple(traj.z, tags, folded))
 
 
 # The modal transform: the direct sums, as decompose, closed_form_state,

@@ -126,6 +126,13 @@ class TestClosedFormState:
         with pytest.raises(ValueError):
             closed_form_state(decompose(regular_ngon(4)), -0.1)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_time_that_is_not_finite(self, t):
+        # a NaN passed t < 0 and gave NaN vertices; inf warned and gave them too
+        with pytest.raises(ValueError, match="finite"):
+            closed_form_state(decompose(regular_ngon(4)), t)
+
     def test_derivative_matches_linear_velocity(self):
         # one-sided second-order difference of the exact solution at t = 0
         p = Polygon([(0.3, 0.1), (2.0, -0.4), (2.5, 1.8), (0.9, 2.2), (-0.7, 1.0)])
