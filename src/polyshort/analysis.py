@@ -297,7 +297,7 @@ def validate_suite(ensemble_size: int, seed: int) -> list:
         rate_u = perimeter_rate(poly, u)
         margin = math.inf
         for _ in range(10):
-            phases = np.array([root.uniform(0.0, 2.0 * np.pi) for _ in range(poly.n)])
+            phases = root.uniform(0.0, 2.0 * np.pi, poly.n)
             v = np.abs(u.velocities) * np.exp(1j * phases)
             margin = min(margin, perimeter_rate(poly, v) - rate_u)
         first = None if margin >= -1e-12 else 0.0

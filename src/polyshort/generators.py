@@ -33,10 +33,11 @@ class SplitMix64:
 
     The state advances by the golden gamma ``0x9E3779B97F4A7C15`` and each
     output is the new state put through two xor-shift-multiply mixing rounds
-    (constants ``0xBF58476D1CE4E5B9`` and ``0x94D049BB133111EB``).  Integer
-    arithmetic only, so streams are identical on every platform.
-    ``uniform`` uses the top 53 bits, giving doubles equidistributed on
-    ``[0, 1)``.
+    (constants ``0xBF58476D1CE4E5B9`` and ``0x94D049BB133111EB``).  Output j
+    depends on the seed and j alone, so a block of outputs is wrapping
+    ``uint64`` array arithmetic, identical on every platform, and bulk and
+    single draws are one stream.  ``uniform`` uses the top 53 bits, giving
+    doubles equidistributed on ``[0, 1)``.
     """
 
     __slots__ = ("_state",)
@@ -44,15 +45,21 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = int(seed) & _MASK64
 
-    def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        x = self._state
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return x ^ (x >> 31)
+    def next_u64s(self, k: int) -> np.ndarray:
+        """The next ``k`` outputs as a ``uint64`` array."""
+        x = np.uint64(self._state) + np.arange(1, k + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        self._state = (self._state + int(k) * 0x9E3779B97F4A7C15) & _MASK64
+        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return x ^ (x >> np.uint64(31))
 
-    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        return lo + (hi - lo) * ((self.next_u64() >> 11) * 2.0**-53)
+    def next_u64(self) -> int:
+        return int(self.next_u64s(1)[0])
+
+    def uniform(self, lo: float = 0.0, hi: float = 1.0, size: int | None = None):
+        """One float, or an array of the next ``size`` draws, on ``[lo, hi)``."""
+        u = lo + (hi - lo) * ((self.next_u64s(1 if size is None else size) >> np.uint64(11)) * 2.0**-53)
+        return float(u[0]) if size is None else u
 
 
 class GenerationFailedError(Exception):
@@ -155,13 +162,13 @@ def _random_star(n: int, radius_range, rng: SplitMix64) -> Polygon:
     lo, hi = radius_range
     for _ in range(_MAX_ATTEMPTS):
         # positive simplex of turning angles, bounded away from 0 and pi
-        raw = np.array([0.15 + rng.uniform() for _ in range(n)])
+        raw = 0.15 + rng.uniform(size=n)
         alpha = 2.0 * np.pi * raw / raw.sum()
         if alpha.max() >= np.pi - 0.05:
             continue
         theta0 = rng.uniform(0.0, 2.0 * np.pi)
         theta = theta0 + np.concatenate(([0.0], np.cumsum(alpha[:-1])))
-        r = np.array([rng.uniform(lo, hi) for _ in range(n)])
+        r = rng.uniform(lo, hi, n)
         poly = Polygon(r * np.exp(1j * theta))
         if geometry.classify_star(poly).tag is StarTag.CCW_STAR:
             return poly
@@ -171,11 +178,11 @@ def _random_star(n: int, radius_range, rng: SplitMix64) -> Polygon:
 def _random_convex(n: int, rng: SplitMix64) -> Polygon:
     for _ in range(_MAX_ATTEMPTS):
         # sorted angles with spacing at least 0.4*pi/n via a positive simplex
-        raw = np.array([0.25 + rng.uniform() for _ in range(n)])
+        raw = 0.25 + rng.uniform(size=n)
         alpha = 2.0 * np.pi * raw / raw.sum()
         theta0 = rng.uniform(0.0, 2.0 * np.pi)
         ang = theta0 + np.concatenate(([0.0], np.cumsum(alpha[:-1])))
-        u = np.array([rng.uniform(-1.0, 1.0) for _ in range(n)])
+        u = rng.uniform(-1.0, 1.0, n)
         # jitter the radii, re-verifying convexity at each rung; distinct
         # points on a circle in angular order are strictly convex, so the
         # zero-jitter rung cannot miss
@@ -193,7 +200,7 @@ def _collinear(n: int, rng: SplitMix64) -> Polygon:
     for _ in range(_MAX_ATTEMPTS):
         theta = rng.uniform(0.0, np.pi)
         base = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-        xs = np.array([rng.uniform(-1.0, 1.0) for _ in range(n)])
+        xs = rng.uniform(-1.0, 1.0, n)
         if np.diff(np.sort(xs)).min() < min_gap:
             continue
         direction = complex(math.cos(theta), math.sin(theta))

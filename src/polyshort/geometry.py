@@ -491,6 +491,13 @@ def _sides_meet(a, b, c, d):
     return meet
 
 
+def _pair_block(first, p0, pairs):
+    """Sides ``(ii, jj)`` of pairs ``p0`` .. ``p0 + _BLOCK - 1``, side ``i``'s pairs starting at ``first[i]``."""
+    p = np.arange(p0, min(p0 + _BLOCK, pairs))
+    ii = np.searchsorted(first, p, side="right") - 1
+    return ii, p - first[ii] + ii + 2
+
+
 def _simple(z: np.ndarray, tags: np.ndarray, folded: np.ndarray) -> np.ndarray:
     """Per row of the ``(S, n)`` stack ``z`` with :func:`_convexity_classes` ``tags`` and ``folded``: is it simple?
 
@@ -512,6 +519,8 @@ def _simple(z: np.ndarray, tags: np.ndarray, folded: np.ndarray) -> np.ndarray:
     pairs = int(first[-1])
     # a block holds whole open rows when a row has few pairs, else part of one row
     rows = max(1, _BLOCK // max(pairs, 1))
+    # when all pairs fit one block, every row block shares its index
+    whole = _pair_block(first, 0, pairs) if pairs <= _BLOCK else None
     for r0 in range(0, open_rows.size, rows):
         live = open_rows[r0 : r0 + rows]
         za, zb = z[live], zn[live]
@@ -527,10 +536,7 @@ def _simple(z: np.ndarray, tags: np.ndarray, folded: np.ndarray) -> np.ndarray:
         g = 4.0 * PREDICATE_TOL * (x1.max(axis=-1) - x0.min(axis=-1) + y1.max(axis=-1) - y0.min(axis=-1))
         x0, y0 = x0 - g[:, None], y0 - g[:, None]
         for p0 in range(0, pairs, _BLOCK):
-            # the block's pairs, formed from its start
-            p = np.arange(p0, min(p0 + _BLOCK, pairs))
-            ii = np.searchsorted(first, p, side="right") - 1
-            jj = p - first[ii] + ii + 2
+            ii, jj = whole or _pair_block(first, p0, pairs)
             # only pairs whose boxes are not apart by more than g can meet: a strict >
             # keeps a NaN box, and an infinite g, from an infinite or NaN row, every pair
             apart = (x0[:, jj] > x1[:, ii]) | (x0[:, ii] > x1[:, jj]) | (y0[:, jj] > y1[:, ii]) | (y0[:, ii] > y1[:, jj])

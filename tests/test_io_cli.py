@@ -1,5 +1,6 @@
 """Deterministic RNG, generators, scenario files, CSV/SVG artifacts, CLI."""
 
+import hashlib
 import json
 import math
 
@@ -91,6 +92,35 @@ class TestGeneratorSpec:
             GeneratorSpec(GeneratorKind.RANDOM_STAR, n=5, radius_range=(2.0, 1.0))
 
 
+# the first 16 hex digits of the sha256 of generate(kind, n)'s little-endian complex128
+# vertices, for each n and each of GENERATED_SEEDS: the same polygons, bit for bit, as when
+# each coordinate was one scalar draw
+GENERATED_SEEDS = (0, 1002, 2001, (1 << 64) - 1)
+GENERATED_SHA256 = {
+    "random_star": {
+        4: ("b9b0a6ff0bbb5ccc", "7d12bea610e6f234", "1b450c4a16f4d94b", "97650f36bcd8e29a"),
+        12: ("a39239998ce90207", "c42fb499926c35f3", "dd57d9ec4ad900d1", "6a9f9e45a544ee4e"),
+        128: ("86c467cc08510869", "2642ceb86644889a", "7697726b44b2f617", "b926865cc3ae1f11"),
+        384: ("372351a17981031c", "88f165c937494f48", "267ddec56ff99447", "b795461c5f9e6ba5"),
+        1000: ("70ec93bce6200532", "1f95fffb1b388e1e", "7445d7f5706b4bd3", "d319d5453045ede0"),
+    },
+    "random_convex": {
+        4: ("63a31a2762cb1ed0", "32c605317db94ac1", "dadc7243286939eb", "5c313a8d4b107011"),
+        12: ("c1538f63f46a9bb9", "2da46deeff9da4d0", "7299ad8d14353492", "5a9336dc4583fdf2"),
+        128: ("46a237fac52020e9", "2381233836bbedb1", "56b272b3b365bc59", "8540e8a3a0f16d7a"),
+        384: ("dd87d8fa5dcf88b5", "fc580311f35da147", "78e09b60b6a011c3", "634f826ecdab28a5"),
+        1000: ("ce4aa3e5b4d6be67", "d1e1b89bf1707a0e", "c2cedde3f26a1d3d", "d8f3223f4e1d17a7"),
+    },
+    "collinear": {
+        4: ("e587b4b092b178a9", "115e8f44a4abc69d", "6efe7438470bf7e9", "a22ec821af6727a6"),
+        12: ("e47f0b5dd4e6b97c", "1a866dc6b295f58d", "5a384a4937eee083", "7ede246b20b523c4"),
+        128: ("689f722232762b6c", "4cb9a7c391bf0652", "df361313caed2edc", "49073701780db603"),
+        384: ("c26225c96edb1150", "b5073c9217cd3d89", "603aa6d7563b7f2f", "014e94d40353b154"),
+        1000: ("1506667208561882", "75e08bfb7740513d", "5637b0550a9227f8", "f077d015fe24beac"),
+    },
+}
+
+
 class TestGenerate:
     def test_regular_hexagon(self):
         p = generate(GeneratorSpec(GeneratorKind.REGULAR, n=6), 0)
@@ -128,6 +158,15 @@ class TestGenerate:
         assert p.n == n
         offs = (p.z - p.z[0]) * np.conj(p.z[1] - p.z[0]) / abs(p.z[1] - p.z[0])
         assert np.abs(offs.imag).max() <= 1e-9 * p.diameter()
+
+    @pytest.mark.parametrize("kind", sorted(GENERATED_SHA256))
+    @pytest.mark.parametrize("n", [4, 12, 128, 384, 1000])
+    def test_generated_vertices_are_pinned(self, kind, n):
+        got = [
+            hashlib.sha256(generate(GeneratorSpec(GeneratorKind(kind), n=n), seed).z.astype("<c16").tobytes()).hexdigest()
+            for seed in GENERATED_SEEDS
+        ]
+        assert [h[:16] for h in got] == list(GENERATED_SHA256[kind][n])
 
     def test_fixtures_are_frozen_counterexamples(self):
         boom = generate(GeneratorSpec(GeneratorKind.BOOMERANG), 0)

@@ -78,7 +78,7 @@ from polyshort.flows import (  # noqa: E402
     _linear_field,
     _menger_melnikov_field,
 )
-from polyshort.generators import GeneratorKind, GeneratorSpec, generate  # noqa: E402
+from polyshort.generators import GeneratorKind, GeneratorSpec, SplitMix64, generate  # noqa: E402
 from polyshort.geometry import (  # noqa: E402
     _BLOCK,
     ANGLE_SUM_TOL,
@@ -915,6 +915,21 @@ def test_simple_spans_pair_blocks():
         assert z.shape[0] * n * (n - 3) // 2 > 2 * _BLOCK
         got = [bool(v) for v in _simple(z, tags, folded)]
         assert got == [ref_is_simple(row) for row in z] == [k is None for k in swaps]
+
+
+def test_pair_index_formed_once_when_it_fits_one_block(monkeypatch):
+    # a stack of 8-gons takes several row blocks and one block of pairs, which
+    # they share; a 200-gon takes a block of pairs at a time, per row block
+    calls = []
+    form = geometry._pair_block
+    monkeypatch.setattr(geometry, "_pair_block", lambda *a: calls.append(a[1]) or form(*a))
+    for n, rows, blocks in ((8, 1200, [0]), (200, 2, [0, 4096, 8192, 12288, 16384] * 2)):
+        z = np.tile(np.exp(2j * np.pi * np.arange(n) / n), (rows, 1))
+        z[:, 1] *= 0.5
+        tags, _, _, folded = _convexity_classes(z)
+        calls.clear()
+        assert _simple(z, tags, folded).all()
+        assert calls == blocks
 
 
 def ref_all_pairs_simple(z, tags, folded):
@@ -1866,3 +1881,52 @@ def test_block_length_never_shows(monkeypatch, block):
     assert blocks["linear_collapse"][1][1] == 688
     mid_block = [name for name, b in blocks.items() if b[-1][1] < b[-1][0]]
     assert mid_block == ([] if block == 1 else ["capture", "default_capture", "max_steps"]) + ["linear_collapse"]
+
+
+MASK64 = (1 << 64) - 1
+
+
+def ref_splitmix64(state, k):
+    """``k`` SplitMix64 outputs after ``state`` by Python-int arithmetic, one at a time, and the state after them."""
+    out = []
+    for _ in range(k):
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        x = state
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
+        out.append(x ^ (x >> 31))
+    return out, state
+
+
+@pytest.mark.parametrize("seed", [0, 1 << 63, MASK64])
+@pytest.mark.parametrize("k", [0, 1, 2, 1000])
+@given(
+    bounds=st.one_of(
+        st.sampled_from([(0.0, 1.0), (-1.0, 1.0), (0.0, 2.0 * math.pi), (0.5, 1.5), (-1e300, 1e300)]),
+        st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+    ),
+    skip=st.integers(0, 3),
+)
+@settings(max_examples=10)
+def test_bulk_draws_match_the_integer_oracle(seed, k, bounds, skip):
+    # after `skip` single draws, k bulk draws: the oracle's bits and state, dtype
+    # uint64 (also for states at or above 2**63), and the scalar uniform's floats
+    lo, hi = bounds
+    rng, ref = SplitMix64(seed), SplitMix64(seed)
+    for _ in range(skip):
+        rng.next_u64()
+    want, state = ref_splitmix64(ref_splitmix64(seed, skip)[1], k)
+    got = rng.next_u64s(k)
+    assert got.dtype == np.uint64 and got.shape == (k,)
+    assert got.tolist() == want and rng._state == state
+    for _ in range(skip):
+        ref.next_u64()
+    u = ref.uniform(lo, hi, k)
+    assert u.dtype == np.float64 and ref._state == state
+    assert same_bits(u, np.array([lo + (hi - lo) * ((x >> 11) * 2.0**-53) for x in want]))
+
+
+def test_single_draws_are_python_numbers():
+    rng = SplitMix64(MASK64)
+    assert type(rng.next_u64()) is int and type(rng.uniform(-1.0, 1.0)) is float
+    assert rng.uniform(size=0).shape == (0,) and rng._state == ref_splitmix64(MASK64, 2)[1]

@@ -395,6 +395,18 @@ class TestRunBisector:
         assert traj.times[-1] == pytest.approx((1.0 - 1e-2) / np.sqrt(2.0), abs=3e-3)
         assert traj.min_edge[-1] < 1e-2
 
+    def test_default_threshold_misses_a_chattering_collision(self):
+        # the short edge of this pentagon closes near t = 0.23, then swings by about
+        # speed * dt a step: its smallest sample, 1.0e-5, stays above the default
+        # threshold of 1e-6 * diameter = 2e-6, while fig9's 1e-3 * diameter catches it
+        pentagon = Polygon([-1, -0.5j, 0.1 - 0.5j, 1, 1j])
+        traj = run(pentagon, FlowSpec.bisector(), SimConfig(t_end=0.5, dt=1e-3))
+        assert traj.termination is Termination.T_END
+        assert traj.min_edge.min() == pytest.approx(1.0e-5, rel=0.01)
+        traj = run(pentagon, FlowSpec.bisector(), SimConfig(t_end=0.5, dt=1e-3, min_edge_capture=1e-3))
+        assert traj.termination is Termination.CAPTURE
+        assert traj.times[-1] == pytest.approx(0.227)
+
     def test_immediate_capture_when_threshold_exceeds_edge(self):
         traj = run(UNIT_SQUARE, FlowSpec.bisector(), SimConfig(t_end=1.0, min_edge_capture=2.0))
         assert traj.termination is Termination.CAPTURE
