@@ -79,6 +79,8 @@ class FlowSpec:
     bisector_speed: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, FlowKind) or not isinstance(self.bisector_speed_mode, (BisectorSpeedMode, type(None))):
+            raise TypeError(f"kind must be a FlowKind and bisector_speed_mode a BisectorSpeedMode or None, not {self!r}")
         if _has_bool(self.bisector_speed):
             raise TypeError("bisector speed must be a number, not a bool")
         if self.kind is FlowKind.BISECTOR:

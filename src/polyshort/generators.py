@@ -26,6 +26,9 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+# SplitMix64's gamma, mixing multipliers and shifts as np.uint64, so that array arithmetic wraps mod 2**64
+_GAMMA, _MIX1, _MIX2 = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_S11, _S27, _S30, _S31 = np.uint64(11), np.uint64(27), np.uint64(30), np.uint64(31)
 
 
 class SplitMix64:
@@ -46,19 +49,21 @@ class SplitMix64:
         self._state = int(seed) & _MASK64
 
     def next_u64s(self, k: int) -> np.ndarray:
-        """The next ``k`` outputs as a ``uint64`` array."""
-        x = np.uint64(self._state) + np.arange(1, k + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        self._state = (self._state + int(k) * 0x9E3779B97F4A7C15) & _MASK64
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return x ^ (x >> np.uint64(31))
+        """The next ``k`` outputs as a ``uint64`` array; ``k`` is a nonnegative integer, not a bool."""
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
+            raise ValueError(f"the number of draws must be a nonnegative integer, not {k!r}")
+        x = np.uint64(self._state) + np.arange(1, k + 1, dtype=np.uint64) * _GAMMA
+        self._state = (self._state + int(k) * int(_GAMMA)) & _MASK64
+        x = (x ^ (x >> _S30)) * _MIX1
+        x = (x ^ (x >> _S27)) * _MIX2
+        return x ^ (x >> _S31)
 
     def next_u64(self) -> int:
         return int(self.next_u64s(1)[0])
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0, size: int | None = None):
         """One float, or an array of the next ``size`` draws, on ``[lo, hi)``."""
-        u = lo + (hi - lo) * ((self.next_u64s(1 if size is None else size) >> np.uint64(11)) * 2.0**-53)
+        u = lo + (hi - lo) * ((self.next_u64s(1 if size is None else size) >> _S11) * 2.0**-53)
         return float(u[0]) if size is None else u
 
 
@@ -98,9 +103,11 @@ class GeneratorSpec:
     radius_range: tuple = (0.5, 1.5)
 
     def __post_init__(self):
+        if not isinstance(self.kind, GeneratorKind) or geometry._has_bool(self.radius_range):
+            raise TypeError(f"kind must be a GeneratorKind, not {self.kind!r}, and radius_range must not hold bools")
         lo, hi = self.radius_range
-        if not (0.0 < lo <= hi):
-            raise ValueError("radius_range must be 0 < lo <= hi")
+        if not 0.0 < lo <= hi < np.inf:
+            raise ValueError("radius_range must be 0 < lo <= hi < inf")
         if self.kind in _FIXTURE_KINDS:
             if self.n is not None:
                 raise ValueError(f"{self.kind.value} is a fixed fixture; n does not apply")

@@ -491,17 +491,10 @@ def _sides_meet(a, b, c, d):
     return meet
 
 
-def _pair_block(first, p0, pairs):
-    """Sides ``(ii, jj)`` of pairs ``p0`` .. ``p0 + _BLOCK - 1``, side ``i``'s pairs starting at ``first[i]``."""
-    p = np.arange(p0, min(p0 + _BLOCK, pairs))
-    ii = np.searchsorted(first, p, side="right") - 1
-    return ii, p - first[ii] + ii + 2
-
-
 def _simple(z: np.ndarray, tags: np.ndarray, folded: np.ndarray) -> np.ndarray:
     """Per row of the ``(S, n)`` stack ``z`` with :func:`_convexity_classes` ``tags`` and ``folded``: is it simple?
 
-    A folded row is not simple, a STRICTLY_CONVEX row is; only the other rows form side pairs (see :func:`is_simple`).
+    A folded row is not simple, a STRICTLY_CONVEX row is; only the other rows pair their sides, by cyclic offset.
     A pair goes to :func:`_sides_meet` only when the sides' bounding boxes overlap once one is grown by the margin
     g = 4 ``PREDICATE_TOL`` (W + H), W and H the extents of the row's box: no other pair can meet.
     """
@@ -510,17 +503,13 @@ def _simple(z: np.ndarray, tags: np.ndarray, folded: np.ndarray) -> np.ndarray:
     if not open_rows.size:
         return simple
     zn = _next(z)
-    # side k runs from vertex k to k+1; test the pairs i < j that share no vertex,
-    # in order of i, then j: side i pairs with sides i+2 .. n-1, but side 0 not with side n-1
+    # side k runs from vertex k to k+1; test each pair of sides that share no vertex once:
+    # side i with side (i + d) mod n for d = 2 .. n // 2, but at d = n / 2 only for i < d,
+    # in blocks of _BLOCK // n offsets
     n = z.shape[-1]
-    count = np.maximum(n - 2 - np.arange(n), 0)
-    count[0] = max(n - 3, 0)
-    first = np.concatenate(([0], np.cumsum(count)))
-    pairs = int(first[-1])
-    # a block holds whole open rows when a row has few pairs, else part of one row
-    rows = max(1, _BLOCK // max(pairs, 1))
-    # when all pairs fit one block, every row block shares its index
-    whole = _pair_block(first, 0, pairs) if pairs <= _BLOCK else None
+    side, step = np.arange(n), max(1, _BLOCK // n)
+    # a block holds whole open rows when a row has few of its n (n - 3) / 2 pairs, else part of one row
+    rows = max(1, _BLOCK // max(n * (n - 3) // 2, 1))
     for r0 in range(0, open_rows.size, rows):
         live = open_rows[r0 : r0 + rows]
         za, zb = z[live], zn[live]
@@ -535,8 +524,10 @@ def _simple(z: np.ndarray, tags: np.ndarray, folded: np.ndarray) -> np.ndarray:
         # leaves a factor 2 for rounding
         g = 4.0 * PREDICATE_TOL * (x1.max(axis=-1) - x0.min(axis=-1) + y1.max(axis=-1) - y0.min(axis=-1))
         x0, y0 = x0 - g[:, None], y0 - g[:, None]
-        for p0 in range(0, pairs, _BLOCK):
-            ii, jj = whole or _pair_block(first, p0, pairs)
+        for d0 in range(2, n // 2 + 1, step):
+            d = np.arange(d0, min(d0 + step, n // 2 + 1))[:, None]
+            o, ii = np.nonzero((2 * d < n) | (side < d))
+            jj = (ii + d0 + o) % n
             # only pairs whose boxes are not apart by more than g can meet: a strict >
             # keeps a NaN box, and an infinite g, from an infinite or NaN row, every pair
             apart = (x0[:, jj] > x1[:, ii]) | (x0[:, ii] > x1[:, jj]) | (y0[:, jj] > y1[:, ii]) | (y0[:, ii] > y1[:, jj])
@@ -557,12 +548,12 @@ def is_simple(poly: Polygon) -> bool:
     """True when the circuit is a simple polygon.
 
     A ``STRICTLY_CONVEX`` circuit is simple whatever the band: that tag is exact.
-    Otherwise all O(n^2) side pairs are checked.  Non-adjacent sides must not meet;
-    touching within ``PREDICATE_TOL`` of the local scale counts as meeting.  Adjacent
-    sides meet only at their shared vertex: one doubling back makes it non-simple.
-    A pair whose bounding boxes lie apart by more than 4 ``PREDICATE_TOL`` (W + H),
-    W and H the extents of the circuit's box, cannot meet, so only the other pairs
-    take the banded test.
+    Otherwise each of the O(n^2) pairs of sides i and (i + d) mod n, d = 2 .. n // 2,
+    is checked once.  Non-adjacent sides must not meet; touching within ``PREDICATE_TOL``
+    of the local scale counts as meeting.  Adjacent sides meet only at their shared
+    vertex: one doubling back makes it non-simple.  A pair whose bounding boxes lie
+    apart by more than 4 ``PREDICATE_TOL`` (W + H), W and H the extents of the
+    circuit's box, cannot meet, so only the other pairs take the banded test.
     """
     tags, _, _, folded = _convexity_classes(poly.z[None])
     return bool(_simple(poly.z[None], tags, folded)[0])

@@ -43,9 +43,9 @@ CURVATURE_STEP_FRACTION = 0.05
 # After this many steps a run ends with termination MAX_STEPS: every run ends.
 MAX_STEPS = 10**6
 
-# A linear run takes its steps as modes in blocks of geometry._BLOCK // n, or
-# _SCREENED times as many while its modal screen is on (see _modal_states), and
-# so forms at most _SCREENED * _BLOCK vertex positions at once; the other flows
+# A linear run takes its steps as modes in blocks of _SCREENED * geometry._BLOCK // n
+# (_SCREENED is the linear block factor; see _modal_states), and so forms at
+# most _SCREENED * _BLOCK vertex positions at once; the other flows
 # take _STEP_BLOCK steps ahead of the stop tests and so test their stops once
 # per 32 steps, but a step that the curvature cap shortens ends its block.  A
 # stop wastes at most the rest of its block: up to 31 vertex steps, or on the
@@ -326,8 +326,7 @@ def _modal_states(z: np.ndarray, cfg: SimConfig):
     # computed ones less 8 eps.  _diameters rounds each distance by 3 eps of at
     # most 2 S.  All stay below 64 n eps S; squares below the normal range round
     # by up to 2**-1075 each, moving L by up to sqrt(n) 2**-537.  A growing mode,
-    # or modes so large that a square of S overflows, turn the screen off, and
-    # the blocks keep the length geometry._BLOCK // n.
+    # or modes so large that a square of S overflows, turn the screen off.
     n = z.size
     c0 = spectral._modes(z)
     lam = spectral.eigenvalues(n)
@@ -337,7 +336,7 @@ def _modal_states(z: np.ndarray, cfg: SimConfig):
     screen = (log_gain <= 0.0).all() and np.isfinite(size * size)
     first = _ModalBlock(c0, log_gain, np.zeros(1, dtype=np.int64))
     yield np.zeros(1), z[None], first.open_rows(cfg.stop_diameter, margin) if screen else slice(0, 1)
-    k = max(1, (_SCREENED if screen else 1) * geometry._BLOCK // n)
+    k = max(1, _SCREENED * geometry._BLOCK // n)
     t, m = 0.0, 0
     while True:
         ts, last = _fixed_steps(t, cfg, k)

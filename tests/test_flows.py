@@ -59,6 +59,18 @@ class TestFlowSpec:
         with pytest.raises(ValueError, match="UNIT bisector flow needs a positive finite speed"):
             FlowSpec.bisector(speed=speed)
 
+    @pytest.mark.parametrize("kind", ["menger_melnikov", "linear", None])
+    def test_kind_is_a_flow_kind(self, kind):
+        # FlowSpec("menger_melnikov") once ran the bisector path and failed there
+        with pytest.raises(TypeError, match="must be a FlowKind"):
+            FlowSpec(kind)
+
+    @pytest.mark.parametrize("mode", ["norm_matched", "unit", 0])
+    def test_speed_mode_is_a_bisector_speed_mode(self, mode):
+        # a "norm_matched" string once passed, and the run failed on a None speed
+        with pytest.raises(TypeError, match="bisector_speed_mode a BisectorSpeedMode or None"):
+            FlowSpec(FlowKind.BISECTOR, mode)
+
     @pytest.mark.parametrize("speed", [True, np.True_])
     def test_bisector_speed_is_not_a_bool(self, speed):
         # speed=True once ran at speed 1

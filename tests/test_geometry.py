@@ -404,7 +404,7 @@ class TestIsSimple:
     )
     def test_pair_index_only_for_open_rows(self, poly, limit_mb):
         # the STRICTLY_CONVEX 1000-gon forms no side pair; a star that is not
-        # convex forms its pairs a block at a time, from each block's start
+        # convex forms its pairs a block of cyclic offsets at a time
         is_simple(poly)
         tracemalloc.start()
         try:

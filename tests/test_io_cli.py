@@ -60,6 +60,26 @@ class TestSplitMix64:
         vals = [r.uniform(2.0, 5.0) for _ in range(1000)]
         assert all(2.0 <= v < 5.0 for v in vals)
 
+    @pytest.mark.parametrize("k", [2.5, -2, True, np.True_, "3", None])
+    def test_draw_count_is_a_nonnegative_integer(self, k):
+        # next_u64s(2.5) once drew 3 values but moved the state by 2, and
+        # next_u64s(-2) moved it back; a refused count moves nothing
+        r = SplitMix64(5)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            r.next_u64s(k)
+        assert r.next_u64() == SplitMix64(5).next_u64()
+
+    @pytest.mark.parametrize("size", [True, 2.5, -1])
+    def test_uniform_size_is_a_nonnegative_integer(self, size):
+        # uniform(size=True) once drew one value
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            SplitMix64(5).uniform(size=size)
+
+    def test_draw_count_may_be_a_numpy_integer(self):
+        r = SplitMix64(5)
+        assert r.next_u64s(np.int64(0)).shape == (0,)
+        assert r.next_u64s(np.uint8(3)).tolist() == SplitMix64(5).next_u64s(3).tolist()
+
 
 class TestGeneratorSpec:
     def test_fixture_kinds_reject_n(self):
@@ -90,6 +110,24 @@ class TestGeneratorSpec:
             GeneratorSpec(GeneratorKind.RANDOM_STAR, n=5, radius_range=(0.0, 1.0))
         with pytest.raises(ValueError):
             GeneratorSpec(GeneratorKind.RANDOM_STAR, n=5, radius_range=(2.0, 1.0))
+
+    @pytest.mark.parametrize("radius_range", [(0.5, math.inf), (math.inf, math.inf), (0.5, math.nan), (-1.0, 1.0)])
+    def test_radius_range_is_finite(self, radius_range):
+        # (0.5, inf) once passed here and failed later on non-finite vertices
+        with pytest.raises(ValueError, match="0 < lo <= hi < inf"):
+            GeneratorSpec(GeneratorKind.RANDOM_STAR, n=5, radius_range=radius_range)
+
+    @pytest.mark.parametrize("radius_range", [(True, 2.0), (0.5, np.True_)])
+    def test_radius_range_is_not_bools(self, radius_range):
+        # (True, 2) was once taken as (1, 2)
+        with pytest.raises(TypeError, match="radius_range must not hold bools"):
+            GeneratorSpec(GeneratorKind.RANDOM_STAR, n=5, radius_range=radius_range)
+
+    @pytest.mark.parametrize("kind", ["random_star", None, 3])
+    def test_kind_is_a_generator_kind(self, kind):
+        # GeneratorSpec("random_star", n=6) once generated the embedded_loss fixture
+        with pytest.raises(TypeError, match="must be a GeneratorKind"):
+            GeneratorSpec(kind, n=6)
 
 
 # the first 16 hex digits of the sha256 of generate(kind, n)'s little-endian complex128

@@ -900,7 +900,7 @@ def test_stacked_convexity_classes(z):
 def test_simple_spans_pair_blocks():
     # more side pairs than one block holds: per row at n = 200, and per stack
     # of 8-gons; swapping two neighbours of a regular polygon crosses the
-    # sides around them, in the first, a middle or the last block of pairs.
+    # sides around them, two apart (see the next test for the later blocks).
     # The other rows have vertex 1 pulled halfway in: simple, but not convex,
     # so they go through every block too
     for n, swaps in ((200, [None, 3, 100, 196, None]), (8, [None, 0, 5, 7] * 300)):
@@ -917,19 +917,45 @@ def test_simple_spans_pair_blocks():
         assert got == [ref_is_simple(row) for row in z] == [k is None for k in swaps]
 
 
-def test_pair_index_formed_once_when_it_fits_one_block(monkeypatch):
-    # a stack of 8-gons takes several row blocks and one block of pairs, which
-    # they share; a 200-gon takes a block of pairs at a time, per row block
-    calls = []
-    form = geometry._pair_block
-    monkeypatch.setattr(geometry, "_pair_block", lambda *a: calls.append(a[1]) or form(*a))
-    for n, rows, blocks in ((8, 1200, [0]), (200, 2, [0, 4096, 8192, 12288, 16384] * 2)):
-        z = np.tile(np.exp(2j * np.pi * np.arange(n) / n), (rows, 1))
-        z[:, 1] *= 0.5
-        tags, _, _, folded = _convexity_classes(z)
-        calls.clear()
-        assert _simple(z, tags, folded).all()
-        assert calls == blocks
+def test_simple_meets_in_every_block_of_offsets():
+    # a 200-gon takes its side offsets 2 .. 100 in five blocks of 20.  Vertex
+    # k of a regular 200-gon moved out past vertex k + d crosses sides at
+    # offsets 4 (d = 15), 46 and 48 (d = 50, past the wrap at n) and 99
+    # (d = 100): in the first, the middle and the last block.  The rows
+    # between are simple, but not convex
+    n = 200
+    reach = [None, (3, 15), None, (180, 50), (60, 100), None]
+    z = np.tile(np.exp(2j * np.pi * np.arange(n) / n), (len(reach), 1))
+    for row, kd in zip(z, reach):
+        if kd is None:
+            row[1] *= 0.5
+        else:
+            row[kd[0]] = 1.1 * row[sum(kd) % n]
+    tags, _, _, folded = _convexity_classes(z)
+    got = [bool(v) for v in _simple(z, tags, folded)]
+    assert got == [ref_is_simple(row) for row in z] == [kd is None for kd in reach]
+
+
+def test_simple_sends_each_side_pair_once(monkeypatch):
+    # side k of the row z_k = k + NaN i starts at real part k; a NaN box is
+    # never apart, so every pair of sides that share no vertex reaches
+    # _sides_meet, which meets none of them.  n up to 200 takes both parities
+    # and crosses n near 90, past which a row's offsets take two blocks
+    sent, real = [np.zeros(0, dtype=np.int64)], geometry._sides_meet
+
+    def record(a, b, c, d):
+        i, j = a.real.astype(np.int64), c.real.astype(np.int64)
+        sent.append(np.minimum(i, j) * n + np.maximum(i, j))
+        return real(a, b, c, d)
+
+    monkeypatch.setattr(geometry, "_sides_meet", record)
+    tags, folded = np.array([ConvexityTag.NOT_CONVEX]), np.zeros(1, dtype=bool)
+    for n in range(3, 201):
+        del sent[1:]
+        assert _simple((np.arange(n) + complex(0.0, np.nan))[None], tags, folded).all()
+        i, j = np.triu_indices(n, 2)
+        keep = (i > 0) | (j < n - 1)
+        assert np.array_equal(np.sort(np.concatenate(sent)), i[keep] * n + j[keep])
 
 
 def ref_all_pairs_simple(z, tags, folded):
@@ -1438,9 +1464,9 @@ def test_modal_screen_against_dense_run(spec, regular, unstable, offset, angle, 
     poly, diam0 = Polygon(z), _diameter(z)
     stop *= diam0
     if near is not None:
-        # a screened block is _SCREENED times longer; row i of a block of k
-        # steps after b of them is the state after k b + 1 + i steps
-        k = (simulate._SCREENED if unstable is None else 1) * _BLOCK // n
+        # every block, screened or not, takes k = _SCREENED * _BLOCK // n steps;
+        # row i of a block after b of them is the state after k b + 1 + i steps
+        k = simulate._SCREENED * _BLOCK // n
         if row[0] == "grid":
             b, q, d = row[1]
             j = k * b + 1 + simulate._STEP_BLOCK * q + d

@@ -291,15 +291,16 @@ class TestRunLinear:
 
     @pytest.mark.parametrize("dt, screened", [(0.05, True), (2.0, False)])
     def test_screened_blocks_take_more_steps(self, dt, screened):
-        # a block the modal bounds screen takes _SCREENED times the steps of
-        # one they cannot (a growing mode), whose every row the stop test forms
+        # every linear block takes _SCREENED * _BLOCK // n steps, screened or
+        # not; the stop test forms every row of one that the modal bounds
+        # cannot screen (a growing mode)
         poly = random_polygon(11, 12)
         cfg = SimConfig(t_end=1e4, dt=dt, stop_diameter=0.0, record_every=50)
         with np.errstate(over="ignore", invalid="ignore"):
             blocks = simulate._modal_states(poly.z, cfg)
             next(blocks)
             ts, z, rows = next(blocks)
-        k = (simulate._SCREENED if screened else 1) * geometry._BLOCK // 12
+        k = simulate._SCREENED * geometry._BLOCK // 12
         assert ts.size == k
         assert isinstance(z, simulate._ModalBlock)
         assert screened or rows == slice(0, None)
