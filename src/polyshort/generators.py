@@ -168,14 +168,15 @@ def _regular(n: int) -> Polygon:
 def _random_star(n: int, radius_range, rng: SplitMix64) -> Polygon:
     lo, hi = radius_range
     for _ in range(_MAX_ATTEMPTS):
+        u = rng.uniform(size=2 * n + 1)  # n angles, theta0, n radii: mapped as uniform(lo, hi) maps them
         # positive simplex of turning angles, bounded away from 0 and pi
-        raw = 0.15 + rng.uniform(size=n)
+        raw = 0.15 + u[:n]
         alpha = 2.0 * np.pi * raw / raw.sum()
         if alpha.max() >= np.pi - 0.05:
+            rng._state = (rng._state - (n + 1) * int(_GAMMA)) & _MASK64  # the attempt used n draws
             continue
-        theta0 = rng.uniform(0.0, 2.0 * np.pi)
-        theta = theta0 + np.concatenate(([0.0], np.cumsum(alpha[:-1])))
-        r = rng.uniform(lo, hi, n)
+        theta = 2.0 * np.pi * u[n] + np.concatenate(([0.0], np.cumsum(alpha[:-1])))
+        r = lo + (hi - lo) * u[n + 1 :]
         poly = Polygon(r * np.exp(1j * theta))
         if geometry.classify_star(poly).tag is StarTag.CCW_STAR:
             return poly
@@ -184,12 +185,12 @@ def _random_star(n: int, radius_range, rng: SplitMix64) -> Polygon:
 
 def _random_convex(n: int, rng: SplitMix64) -> Polygon:
     for _ in range(_MAX_ATTEMPTS):
+        u = rng.uniform(size=2 * n + 1)  # n angles, theta0, n jitters
         # sorted angles with spacing at least 0.4*pi/n via a positive simplex
-        raw = 0.25 + rng.uniform(size=n)
+        raw = 0.25 + u[:n]
         alpha = 2.0 * np.pi * raw / raw.sum()
-        theta0 = rng.uniform(0.0, 2.0 * np.pi)
-        ang = theta0 + np.concatenate(([0.0], np.cumsum(alpha[:-1])))
-        u = rng.uniform(-1.0, 1.0, n)
+        ang = 2.0 * np.pi * u[n] + np.concatenate(([0.0], np.cumsum(alpha[:-1])))
+        u = -1.0 + 2.0 * u[n + 1 :]
         # jitter the radii, re-verifying convexity at each rung; distinct
         # points on a circle in angular order are strictly convex, so the
         # zero-jitter rung cannot miss
@@ -205,9 +206,9 @@ def _collinear(n: int, rng: SplitMix64) -> Polygon:
     # spacing floor shrinks with n; it is 2e-3 for n <= 10
     min_gap = min(2e-3, 0.2 / n**2)
     for _ in range(_MAX_ATTEMPTS):
-        theta = rng.uniform(0.0, np.pi)
-        base = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-        xs = rng.uniform(-1.0, 1.0, n)
+        u = rng.uniform(size=n + 3)
+        theta, base = float(np.pi * u[0]), complex(-0.5 + u[1], -0.5 + u[2])
+        xs = -1.0 + 2.0 * u[3:]
         if np.diff(np.sort(xs)).min() < min_gap:
             continue
         direction = complex(math.cos(theta), math.sin(theta))

@@ -61,8 +61,19 @@ _TWO_PI = 2.0 * np.pi
 # has more: pairwise distances, side pairs, a linear run's vertex positions.
 _BLOCK = 4096
 
-# _diameter_bracket widens its bracket by this times (r + n max|z|): more than the
-# rounding of the centroid, of r and of the diameter can move either side.
+# _diameter_bracket widens its bracket by this times (hi + 2**-1022).  The
+# diameter is the largest width over all directions (Preparata and Shamos
+# 1985): every vertex pair is at most W apart in x and H in y, and the pairs
+# that span W and H are at least that far apart.  Each computed extent is one
+# subtraction, and _diameters forms its coordinate differences by the same
+# subtractions; rounding is monotone, so none exceeds W in x or H in y, and the
+# pairs that span W and H reach them bit for bit.  A hypot (numpy's complex abs
+# too: 2 ulps from a correctly rounded one at most, as measured) lies within
+# 4 eps of exact, plus 4 * 2**-1074 below the normal range.  So, hi being the
+# computed hypot(W, H), _diameters lies between max(W, H) less 4 eps hi +
+# 2**-1072 and hi plus 9 eps hi + 2**-1071; 16 eps (hi + 2**-1022) covers both,
+# the margin's own rounding and subnormal rows (16 eps 2**-1022 = 2**-1070).  A
+# NaN or infinite coordinate, or an extent that overflows, makes lo NaN.
 _BRACKET_ULPS = 16.0 * np.finfo(np.float64).eps
 
 
@@ -185,13 +196,13 @@ def _diameters(z: np.ndarray) -> np.ndarray:
 
 
 def _diameter_bracket(z: np.ndarray):
-    """``(lo, hi)`` about ``_diameters(z)``: r <= diameter <= 2 r, r = max|z - g| about the centroid g."""
-    n = z.shape[-1]
-    r = np.abs(z - z.sum(axis=-1, keepdims=True) / n).max(axis=-1)
-    margin = _BRACKET_ULPS * (r + n * np.abs(z).max(axis=-1))
-    # clipped at 0: a test of d**2 is monotone only for d >= 0; lo is NaN
-    # wherever hi is
-    return np.maximum(r - margin, 0.0), 2.0 * r + margin
+    """``(lo, hi)`` about ``_diameters(z)``: max(W, H) <= diameter <= hypot(W, H), W and H the x and y extents."""
+    x, y = z.real, z.imag
+    w, h = x.max(axis=-1) - x.min(axis=-1), y.max(axis=-1) - y.min(axis=-1)
+    hi = np.hypot(w, h)
+    margin = _BRACKET_ULPS * (hi + 2.0**-1022)
+    # clipped at 0: a test of d**2 is monotone only for d >= 0
+    return np.maximum(np.maximum(w, h) - margin, 0.0), hi + margin
 
 
 def _by_diameter(z: np.ndarray, test, bracket=None):
@@ -199,9 +210,9 @@ def _by_diameter(z: np.ndarray, test, bracket=None):
 
     ``test`` maps an ``(S,)`` array of diameters to booleans of shape ``(S,)``
     or ``(S, k)``, each monotone in its row's diameter.  The test runs at both
-    ends of ``bracket``, by default the rounding-widened :func:`_diameter_bracket`,
-    and only the rows where the two answers differ, or the bracket is NaN, get
-    the exact diameter, which narrows the bracket in place to that diameter.
+    ends of ``bracket``, by default the widened extent bracket :func:`_diameter_bracket`
+    (max(W, H) to hypot(W, H)), and only the rows where the two answers differ, or
+    lo is NaN, get the exact diameter, which narrows the bracket in place to it.
     """
     lo, hi = _diameter_bracket(z) if bracket is None else bracket
     out = test(hi)

@@ -220,18 +220,16 @@ def _fixed_steps(t: float, cfg: SimConfig, k: int):
 
 
 def _stepped_states(z: np.ndarray, flow: FlowSpec, cfg: SimConfig):
-    # RK4 steps of the vertices: the initial state, then blocks of up to
-    # _STEP_BLOCK end times and states, each with the slice of all its rows.  A
-    # block ends early after a step that the curvature cap shortened, as the
-    # rest of its times no longer apply.  A field that is undefined, or a step
-    # too small to advance the time, ends the last block with a NaN state.
+    # RK4 steps of the vertices: blocks of up to _STEP_BLOCK end times and
+    # states, each with the slice of all its rows, the first led by the initial
+    # state.  A block ends early after a step that the curvature cap shortened,
+    # as the rest of its times no longer apply.  A field that is undefined, or a
+    # step too small to advance the time, ends the last block with a NaN state.
     fld = _field_function(flow)
     adaptive = cfg.adaptive and flow.kind is FlowKind.MENGER_MELNIKOV
-    yield np.zeros(1), z[None], slice(0, None)
-    t = 0.0
+    t, ts, zs = 0.0, [0.0], [z]
     while True:
         ends, last = _fixed_steps(t, cfg, _STEP_BLOCK)
-        ts, zs = [], []
         for j, end in enumerate(ends.tolist()):
             dt_eff = cfg.t_end - t if last and j == ends.size - 1 else cfg.dt
             capped = False
@@ -256,6 +254,7 @@ def _stepped_states(z: np.ndarray, flow: FlowSpec, cfg: SimConfig):
             if capped:
                 break
         yield np.array(ts), np.array(zs), slice(0, None)
+        ts, zs = [], []
 
 
 class _ModalBlock:
@@ -402,10 +401,10 @@ def run(poly: Polygon, flow: FlowSpec, cfg: SimConfig) -> Trajectory:
     The linear flow takes its RK4 steps per Fourier mode, a block of them at
     a time, and forms the vertices only of the states it records, its last
     state and the states whose collapse its modal bounds cannot settle; the
-    other flows step the vertices.  The collapse test and the default capture
-    threshold use the diameter only where its O(n) bracket cannot decide them
-    (see ``geometry._by_diameter``); the capture threshold's bracket is taken
-    once per run.
+    other flows step the vertices, testing the initial state with their first
+    block.  The collapse and default capture tests take the diameter only where
+    its bracket by the x and y extents cannot decide (``geometry._by_diameter``);
+    the capture threshold's bracket is taken once per run.
     """
     captured = _capture_test(poly, flow, cfg)
     blocks = _modal_states(poly.z, cfg) if flow.kind is FlowKind.LINEAR else _stepped_states(poly.z, flow, cfg)

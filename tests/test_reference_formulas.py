@@ -1607,21 +1607,55 @@ def test_rk4_step_is_the_modal_gain(z, h):
 
 
 @settings(deadline=None)
-@given(STACK, st.integers(0, 3), st.sampled_from(["d", "d+", "d-", "r", "2r", "zero"]))
+@given(
+    st.one_of(STACK, WIDE_STACK, GRID_STACK, CIRCLE_STACK),
+    st.one_of(st.integers(-300, 300).map(lambda k: 10.0**k), st.sampled_from([2.0**-1074, 2.0**-1064, 2.0**-1030])),
+)
+def test_diameter_bracket_holds(z, scale):
+    # lo <= _diameters <= hi for every row, from 1e-300 to 1e300 times the
+    # stacks and on subnormal rows; lo is NaN for a row holding NaN or +-inf,
+    # or whose x or y extent overflows, so that such a row gets its exact
+    # diameter
+    z = (z.view(np.float64) * scale).view(np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = geometry._diameter_bracket(z)
+        d = _diameters(z)
+        extents = np.stack([np.ptp(z.real, axis=1), np.ptp(z.imag, axis=1)])
+    unsure = ~np.isfinite(z).all(axis=1) | ~np.isfinite(extents).all(axis=0)
+    assert (np.isnan(lo) == unsure).all()
+    assert (lo[~unsure] <= d[~unsure]).all() and (d[~unsure] <= hi[~unsure]).all()
+
+
+@settings(deadline=None)
+@given(
+    STACK,
+    st.integers(0, 3),
+    st.sampled_from(["d", "d+", "d-", "r", "2r", "wh", "wh+", "wh-", "hyp", "hyp+", "hyp-", "zero"]),
+)
 def test_collapse_test_is_exact(z, row, which):
     # the bracket only narrows where the exact diameter is needed: the first
-    # row it calls collapsed is the first row with _diameter < stop; and the
-    # stacked diameters, in blocks of rows, are the per-row ones
+    # row it calls collapsed is the first row with _diameter < stop, also at
+    # the ends max(W, H) and hypot(W, H) of the extent bracket and one double
+    # either side; and the stacked diameters, in blocks of rows, are the
+    # per-row ones
     row = min(row, len(z) - 1)
     d = np.array([_diameter(x) for x in z])
     assert same_bits(_diameters(z), d)
     r = np.abs(z - z.mean(axis=1, keepdims=True)).max(axis=1)
+    w, h = np.ptp(z.real, axis=1), np.ptp(z.imag, axis=1)
+    wh, hyp = np.maximum(w, h)[row], np.hypot(w, h)[row]
     stop = {
         "d": d[row],
         "d+": np.nextafter(d[row], np.inf),
         "d-": np.nextafter(d[row], 0.0),
         "r": r[row],
         "2r": 2.0 * r[row],
+        "wh": wh,
+        "wh+": np.nextafter(wh, np.inf),
+        "wh-": np.nextafter(wh, 0.0),
+        "hyp": hyp,
+        "hyp+": np.nextafter(hyp, np.inf),
+        "hyp-": np.nextafter(hyp, 0.0),
         "zero": 0.0,
     }[which]
     expected = d < stop
@@ -1632,7 +1666,8 @@ def test_collapse_test_is_exact(z, row, which):
 
 
 # Every tolerance built from the diameter is decided from the O(n) bracket
-# r <= diameter <= 2 r, and the exact n x n diameter is taken only for rows
+# max(W, H) <= diameter <= hypot(W, H), W and H the x and y extents of a row,
+# and the exact n x n diameter is taken only for rows
 # the bracket cannot settle.  The rows below sit at the tolerance itself and
 # one double either side of it, where only the exact diameter decides; they
 # must get the verdicts of the oracles above, which take _diameter of every
@@ -1711,15 +1746,19 @@ def test_default_capture_band(exact_rows, side):
 
 
 def test_default_capture_takes_the_initial_bracket_once(monkeypatch, exact_rows):
-    # a square with two straight vertices 3e-6 apart on its top edge: its
-    # diameter is 2 sqrt 2 and its bracket about [1.67, 3.33], so the shortest
-    # edge lies between the capture threshold and the band's top all run; over
-    # seven blocks of steps the capture test still forms the bracket of the
-    # initial polygon once, and takes its exact diameter once.  The run takes
-    # 6.25 blocks' worth of steps, 200 at blocks of 32, over the same 5e-4 time
-    z0 = np.array([[-1 - 1j, 1 - 1j, 1 + 1j, 1.5e-6 + 1j, -1.5e-6 + 1j, -1 + 1j]])
+    # an octagon, a square of side 2 with its corners cut, with two straight
+    # vertices 2.5e-6 apart on its top edge: its diameter is sqrt 5, strictly
+    # inside its extent bracket [2, 2 sqrt 2], so the shortest edge lies
+    # between the capture threshold and the band's top all run; over seven
+    # blocks of steps the capture test still forms the bracket of the initial
+    # polygon once, and takes its exact diameter once.  The run takes 6.25
+    # blocks' worth of steps, 200 at blocks of 32, over the same 5e-4 time
+    e = 2.5e-6
+    corners = [-1 - 0.5j, -0.5 - 1j, 0.5 - 1j, 1 - 0.5j, 1 + 0.5j, 0.5 + 1j]
+    z0 = np.array([corners + [e / 2 + 1j, -e / 2 + 1j, -0.5 + 1j, -1 + 0.5j]])
     brackets = []
     bracket = geometry._diameter_bracket
+    (lo,), (hi,) = bracket(z0)
 
     def counted(z):
         brackets.append(z.shape == z0.shape and bool((z == z0).all()))
@@ -1731,10 +1770,11 @@ def test_default_capture_takes_the_initial_bracket_once(monkeypatch, exact_rows)
     got = run(poly, flow, cfg)
     assert got.termination is Termination.T_END
     assert -(-(len(got) - 1) // simulate._STEP_BLOCK) == 7
-    assert (got.min_edge > 1e-6 * poly.diameter()).all() and got.min_edge.min() > 2.99e-6
-    # the collapse test brackets the initial state and each of the 7 blocks;
-    # the capture test brackets z0 once
-    assert len(brackets) == 9 and brackets.count(True) == 2
+    assert (got.min_edge > 1e-6 * poly.diameter()).all() and got.min_edge.min() > 2.49e-6
+    assert (got.min_edge < 1e-6 * hi).all() and lo < poly.diameter() < hi
+    # the collapse test brackets each of the 7 blocks, the first of them led
+    # by the initial state; the capture test brackets z0 once
+    assert len(brackets) == 8 and brackets.count(True) == 1
     assert exact_rows == [1]
     assert got == ref_run(poly, flow, cfg)
 

@@ -225,9 +225,13 @@ class TestRunLinear:
         assert traj.states[-1].diameter() < 1e-4
         assert traj.times[-1] < 100.0
 
-    def test_already_collapsed_records_single_sample(self):
+    @pytest.mark.parametrize(
+        "flow", [FlowSpec.linear(), FlowSpec.menger_melnikov(), FlowSpec.bisector()], ids=["linear", "mm", "bisector"]
+    )
+    def test_already_collapsed_records_single_sample(self, flow):
+        # also where the initial state leads a block of vertex steps
         tiny = Polygon([(0, 0), (1e-8, 0), (0, 1e-8)])
-        traj = run(tiny, FlowSpec.linear(), SimConfig(t_end=1.0, stop_diameter=1.0))
+        traj = run(tiny, flow, SimConfig(t_end=1.0, stop_diameter=1.0))
         assert traj.termination is Termination.COLLAPSED
         assert len(traj) == 1
         assert traj.times[0] == 0.0
@@ -407,6 +411,20 @@ class TestRunBisector:
         traj = run(pentagon, FlowSpec.bisector(), SimConfig(t_end=0.5, dt=1e-3, min_edge_capture=1e-3))
         assert traj.termination is Termination.CAPTURE
         assert traj.times[-1] == pytest.approx(0.227)
+
+    def test_first_block_tests_the_initial_state(self, monkeypatch):
+        # a 10-step run is one block of 11 states, led by the initial state,
+        # and so one stop test
+        calls, first_stop = [], simulate._first_stop
+
+        def counted(z, ts, rows, steps, cfg, captured):
+            calls.append((ts.size, steps))
+            return first_stop(z, ts, rows, steps, cfg, captured)
+
+        monkeypatch.setattr(simulate, "_first_stop", counted)
+        traj = run(regular_ngon(8), FlowSpec.bisector(), SimConfig(t_end=0.01, dt=1e-3))
+        assert traj.termination is Termination.T_END and len(traj) == 11
+        assert calls == [(11, 0)]
 
     def test_immediate_capture_when_threshold_exceeds_edge(self):
         traj = run(UNIT_SQUARE, FlowSpec.bisector(), SimConfig(t_end=1.0, min_edge_capture=2.0))
