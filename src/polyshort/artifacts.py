@@ -162,6 +162,10 @@ def scenario_polygon(scenario: Scenario) -> Polygon:
 _CSV_COLUMNS = {"perimeter": "perimeter", "area": "signed_area", "minF": "min_f", "minH": "min_h", "min_edge": "min_edge"}
 
 
+def _csv_header(n: int) -> list:
+    return ["t", *(f"{c}{i}" for i in range(1, n + 1) for c in "xy"), *_CSV_COLUMNS]
+
+
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write a trajectory to CSV with full round-trip precision.
 
@@ -172,12 +176,9 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     """
     if len(traj) == 0:
         raise ValueError("refusing to write an empty trajectory")
-    cols = ["t"]
-    for i in range(1, traj.n + 1):
-        cols += [f"x{i}", f"y{i}"]
     # a complex row viewed as floats is x1, y1, ..., xn, yn
     columns = [traj.times, traj.z.view(np.float64)] + [getattr(traj, a) for a in _CSV_COLUMNS.values()]
-    _write_csv(path, cols + list(_CSV_COLUMNS), columns, [f"# termination={traj.termination.name}"])
+    _write_csv(path, _csv_header(traj.n), columns, [f"# termination={traj.termination.name}"])
 
 
 def _write_csv(path, header, columns, tail=()) -> None:
@@ -207,8 +208,8 @@ def read_trajectory_csv(path) -> Trajectory:
     if len(lines) < 3:
         raise ValueError(f"{path}: not a trajectory CSV (too short)")
     header = lines[0].split(",")
-    n, odd = divmod(len(header) - 1 - len(_CSV_COLUMNS), 2)
-    if header[0] != "t" or odd or header[2 * n + 1 :] != list(_CSV_COLUMNS):
+    n = (len(header) - 1 - len(_CSV_COLUMNS)) // 2
+    if header != _csv_header(n):
         raise ValueError(f"{path}: unexpected CSV header")
     _check_n(n, f"{path}: the number of vertices")
     prefix, _, reason = lines[-1].partition("=")

@@ -161,22 +161,20 @@ _EMBEDDED_LOSS_VERTICES = [
 
 
 def _regular(n: int) -> Polygon:
-    k = np.arange(n)
-    return Polygon(np.exp(2j * np.pi * k / n))
+    return Polygon(np.exp(2j * np.pi * np.arange(n) / n))
 
 
 def _random_star(n: int, radius_range, rng: SplitMix64) -> Polygon:
     lo, hi = radius_range
     for _ in range(_MAX_ATTEMPTS):
-        u = rng.uniform(size=2 * n + 1)  # n angles, theta0, n radii: mapped as uniform(lo, hi) maps them
         # positive simplex of turning angles, bounded away from 0 and pi
-        raw = 0.15 + u[:n]
+        raw = 0.15 + rng.uniform(size=n)
         alpha = 2.0 * np.pi * raw / raw.sum()
         if alpha.max() >= np.pi - 0.05:
-            rng._state = (rng._state - (n + 1) * int(_GAMMA)) & _MASK64  # the attempt used n draws
             continue
-        theta = 2.0 * np.pi * u[n] + np.concatenate(([0.0], np.cumsum(alpha[:-1])))
-        r = lo + (hi - lo) * u[n + 1 :]
+        u = rng.uniform(size=n + 1)  # theta0, n radii: mapped as uniform(lo, hi) maps them
+        theta = 2.0 * np.pi * u[0] + np.concatenate(([0.0], np.cumsum(alpha[:-1])))
+        r = lo + (hi - lo) * u[1:]
         poly = Polygon(r * np.exp(1j * theta))
         if geometry.classify_star(poly).tag is StarTag.CCW_STAR:
             return poly

@@ -138,8 +138,8 @@ class Polygon:
     def _wrap(cls, z: np.ndarray) -> "Polygon":
         # Trusted constructor for derived states (integrator output, closed-form
         # evaluation, file round-trips) where a collapsing polygon may round to
-        # coincident vertices.  Skips the distinctness check only.  A read-only
-        # complex128 array (a row of Trajectory.z) is shared, not copied.
+        # coincident vertices.  Skips every check: the caller vouches that z is
+        # finite.  A read-only complex128 array (a row of Trajectory.z) is shared.
         p = _new(cls)
         if z.dtype is not _COMPLEX or z.flags.writeable:
             z = np.array(z, dtype=np.complex128)

@@ -47,9 +47,9 @@ MAX_STEPS = 10**6
 # (_SCREENED is the linear block factor; see _modal_states), and so forms at
 # most _SCREENED * _BLOCK vertex positions at once; the other flows
 # take _STEP_BLOCK steps ahead of the stop tests and so test their stops once
-# per 32 steps, but a step that the curvature cap shortens ends its block.  A
-# stop wastes at most the rest of its block: up to 31 vertex steps, or on the
-# linear path its modes and the open rows formed past the stop.  The screen
+# per 32 steps, capped or not.  A stop wastes at most the rest of its block: up
+# to 32 vertex steps (31 after the first, which the initial state leads), or on
+# the linear path its modes and the open rows formed past the stop.  The screen
 # takes its bounds on every _STEP_BLOCK-th row of a block and on its last row,
 # so it too settles a block's stops 32 rows at a time: the rows it leaves open
 # start after a grid row and end on one or at the end of the block.
@@ -185,13 +185,17 @@ def _rk4(z: np.ndarray, fld, dt: float, k1: np.ndarray) -> np.ndarray:
 def step_rk4(poly: Polygon, flow: FlowSpec, dt: float) -> Polygon:
     """One classical Runge-Kutta step of size ``dt > 0``.
 
-    Velocity degeneracies encountered at any of the four stages propagate as
-    the flow's own exceptions.
+    Velocity degeneracies at any of the four stages propagate as the flow's own
+    exceptions, and a result that is not finite raises ``FlowDegeneracyError``.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     fld = _field_function(flow)
-    return Polygon._wrap(_rk4(poly.z, fld, dt, fld(poly.z)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = _rk4(poly.z, fld, dt, fld(poly.z))
+    if not np.isfinite(z).all():
+        raise FlowDegeneracyError("the step's result is not finite")
+    return Polygon._wrap(z)
 
 
 def _time_left(t, cfg: SimConfig):
@@ -220,19 +224,18 @@ def _fixed_steps(t: float, cfg: SimConfig, k: int):
 
 
 def _stepped_states(z: np.ndarray, flow: FlowSpec, cfg: SimConfig):
-    # RK4 steps of the vertices: blocks of up to _STEP_BLOCK end times and
-    # states, each with the slice of all its rows, the first led by the initial
-    # state.  A block ends early after a step that the curvature cap shortened,
-    # as the rest of its times no longer apply.  A field that is undefined, or a
-    # step too small to advance the time, ends the last block with a NaN state.
+    # RK4 steps of the vertices: blocks of _STEP_BLOCK end times and states with
+    # the slice of all their rows, the first led by the initial state.  A step
+    # ends by _fixed_steps' rule, or at t + cap_dt if the curvature cap shortens
+    # it.  An undefined field or a stalled step ends the last block with a NaN state.
     fld = _field_function(flow)
     adaptive = cfg.adaptive and flow.kind is FlowKind.MENGER_MELNIKOV
     t, ts, zs = 0.0, [0.0], [z]
     while True:
-        ends, last = _fixed_steps(t, cfg, _STEP_BLOCK)
-        for j, end in enumerate(ends.tolist()):
-            dt_eff = cfg.t_end - t if last and j == ends.size - 1 else cfg.dt
-            capped = False
+        for _ in range(_STEP_BLOCK):
+            if not _time_left(t, cfg):
+                break
+            dt_eff, end = (cfg.dt, t + cfg.dt) if cfg.t_end - t > cfg.dt else (cfg.t_end - t, cfg.t_end)
             try:
                 k1 = fld(z)
                 if adaptive:
@@ -240,7 +243,7 @@ def _stepped_states(z: np.ndarray, flow: FlowSpec, cfg: SimConfig):
                     if vmax > 0.0:
                         cap_dt = CURVATURE_STEP_FRACTION * float(geometry._edge_lengths(z).min()) / vmax
                         if cap_dt < dt_eff:
-                            dt_eff, end, capped = cap_dt, t + cap_dt, True
+                            dt_eff, end = cap_dt, t + cap_dt
                 # a step too small to advance t means the flow is too stiff
                 if dt_eff < 1e-15 * cfg.dt or t + dt_eff == t:
                     raise FlowDegeneracyError("step too small to advance the time")
@@ -251,8 +254,6 @@ def _stepped_states(z: np.ndarray, flow: FlowSpec, cfg: SimConfig):
             t = end
             ts.append(t)
             zs.append(z)
-            if capped:
-                break
         yield np.array(ts), np.array(zs), slice(0, None)
         ts, zs = [], []
 

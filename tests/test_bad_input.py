@@ -319,6 +319,18 @@ def test_csv_header_beyond_vertex_bound():
     assert code == 2 and "within [3, 1000]" in err
 
 
+def test_csv_header_names_every_column(tmp_path):
+    # renamed vertex columns: the reader compares the header whole with the writer's
+    path = tmp_path / "t.csv"
+    path.write_text(BASE_CSV.replace("t,x1,y1,", "t,q,w,", 1), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"t\.csv: unexpected CSV header$"):
+        read_trajectory_csv(path)
+    code, _, err = cli(["analyze", "--csv", path])
+    assert code == 2
+    assert_clean(code, err)
+    assert err.startswith(f"error: {path}: ")
+
+
 def _edited_row(edit):
     # BASE_CSV with its second data row edited
     lines = BASE_CSV.split("\n")

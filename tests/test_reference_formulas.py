@@ -1859,6 +1859,9 @@ STEPPED_RUNS = st.tuples(
 
 @settings(deadline=None, max_examples=40)
 @given(STEPPED_RUNS)
+# the drawn adaptive MM runs take no capped step: this one (STOPPED_RUNS'
+# mm_capped) caps every step, 32 to a block
+@example((FlowSpec.menger_melnikov(), 9, 7, 0.05, 20.0, 2, True, 0.5, None))
 def test_stepped_flows_against_stepped_loop(spec):
     # the Menger-Melnikov and bisector flows still step the vertices: bit for bit
     flow, n, seed, dt, steps, record_every, adaptive, stop, capture = spec
@@ -1940,13 +1943,17 @@ def test_block_length_never_shows(monkeypatch, block):
         got = run(poly, flow, cfg)
         assert got == (ref_modal_run(poly, cfg) if flow.kind is FlowKind.LINEAR else ref_run(poly, flow, cfg))
         assert got.termination is termination
-    # after the initial state, every capped block is one step long
-    assert {size for size, _ in blocks["mm_capped"][1:]} == {1}
-    # the step that no longer advances the time is a block of one unreached row
-    assert blocks.pop("mm_stall")[-1] == (1, 0)
+    # a capped step does not end its block: every capped block but the first
+    # (led by the initial state) and the last holds a whole block of steps
+    assert {size for size, _ in blocks["mm_capped"][1:-1]} == {block}
+    # the step that no longer advances the time ends the last block with its
+    # unreached row
+    size, reached = blocks.pop("mm_stall")[-1]
+    assert reached == size - 1
     assert blocks["linear_collapse"][1][1] == 688
     mid_block = [name for name, b in blocks.items() if b[-1][1] < b[-1][0]]
-    assert mid_block == ([] if block == 1 else ["capture", "default_capture", "max_steps"]) + ["linear_collapse"]
+    stepped = ["capture", "default_capture", "mm_capped", "max_steps"]
+    assert mid_block == ([] if block == 1 else stepped) + ["linear_collapse"]
 
 
 MASK64 = (1 << 64) - 1

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +163,14 @@ class TestStepRk4:
             step_rk4(UNIT_SQUARE, FlowSpec.linear(), 0.0)
         with pytest.raises(ValueError):
             step_rk4(UNIT_SQUARE, FlowSpec.linear(), -0.1)
+
+    def test_non_finite_result_raises(self):
+        # the step overflows to inf and NaN, which no Polygon may hold: an error, and no warning
+        huge = Polygon([[0, 0], [1e308, 0], [0, 1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(flows.FlowDegeneracyError):
+                step_rk4(huge, FlowSpec.linear(), 1.0)
 
     def test_degeneracy_propagates(self):
         # v = -z exactly on the diamond, so dt = 2 sends the whole polygon
@@ -375,6 +384,23 @@ class TestRunMengerMelnikov:
         traj = run(Polygon(10.0 * star.z), FlowSpec.menger_melnikov(), cfg)
         assert traj.termination is Termination.DEGENERATE
         assert np.all(np.diff(traj.times) > 0)
+
+    def test_capped_steps_fill_their_blocks(self, monkeypatch):
+        # dt is so large that the curvature cap shortens every step, and capped
+        # steps fill their blocks: 98 steps take 4 stop tests
+        star = generate(GeneratorSpec(GeneratorKind.RANDOM_STAR, n=9), 7)
+        cfg = SimConfig(t_end=1.0, dt=0.05, stop_diameter=0.5 * star.diameter(), record_every=2)
+        calls, first_stop = [], simulate._first_stop
+
+        def counted(z, ts, rows, steps, cfg, captured):
+            reached, termination = first_stop(z, ts, rows, steps, cfg, captured)
+            calls.append((ts.size, reached))
+            return reached, termination
+
+        monkeypatch.setattr(simulate, "_first_stop", counted)
+        traj = run(star, FlowSpec.menger_melnikov(), cfg)
+        assert traj.termination is Termination.COLLAPSED
+        assert calls == [(33, 33), (32, 32), (32, 32), (32, 2)]
 
     def test_four_field_evaluations_per_adaptive_step(self, monkeypatch):
         calls = []
