@@ -229,10 +229,10 @@ def _bound_report(name: str, traj: Trajectory, value: float, bound: float) -> Ch
     return _report(name, first, bound - value, len(traj))
 
 
-def check_centroid_drift(traj: Trajectory, diam0: float) -> CheckReport:
-    """The vertex centroid must stay within 1e-9 * ``diam0`` of where it started."""
+def check_centroid_drift(traj: Trajectory) -> CheckReport:
+    """The vertex centroid must stay within 1e-9 * the initial state's diameter of where it started."""
     g = traj.z.mean(axis=1)
-    return _bound_report("centroid_drift", traj, float(np.abs(g - g[0]).max()), 1e-9 * diam0)
+    return _bound_report("centroid_drift", traj, float(np.abs(g - g[0]).max()), 1e-9 * geometry._diameter(traj.z[0]))
 
 
 def check_line_deviation(traj: Trajectory) -> CheckReport:
@@ -261,28 +261,17 @@ def validate_suite(ensemble_size: int, seed: int) -> list:
     reports = []
     root = SplitMix64(seed)
 
-    # star polygons stay stars; perimeter decays to collapse; centroid fixed
-    for i in range(ensemble_size):
-        n = 4 + (i % 7)
-        poly = generate(GeneratorSpec(GeneratorKind.RANDOM_STAR, n=n), root.next_u64())
-        diam0 = poly.diameter()
-        cfg = SimConfig(t_end=400.0, dt=0.05, stop_diameter=1e-4 * diam0, record_every=10)
-        traj = run(poly, FlowSpec.linear(), cfg)
-        reports.append(replace(check_star_preservation(traj), check_name=f"star_preservation[{i:02d}]"))
-        reports.append(replace(check_perimeter_monotone(traj), check_name=f"star_perimeter[{i:02d}]"))
-        reports.append(replace(check_centroid_drift(traj, diam0), check_name=f"star_centroid_drift[{i:02d}]"))
-
-    # strictly convex polygons stay strictly convex; area shrinks
-    for i in range(ensemble_size):
-        n = 5 + (i % 6)
-        poly = generate(GeneratorSpec(GeneratorKind.RANDOM_CONVEX, n=n), root.next_u64())
-        diam0 = poly.diameter()
-        cfg = SimConfig(t_end=400.0, dt=0.05, stop_diameter=1e-4 * diam0, record_every=10)
-        traj = run(poly, FlowSpec.linear(), cfg)
-        reports.append(replace(check_convexity_preservation(traj), check_name=f"convexity_preservation[{i:02d}]"))
-        reports.append(replace(check_area_monotone(traj), check_name=f"convex_area[{i:02d}]"))
-        reports.append(replace(check_perimeter_monotone(traj), check_name=f"convex_perimeter[{i:02d}]"))
-        reports.append(replace(check_centroid_drift(traj, diam0), check_name=f"convex_centroid_drift[{i:02d}]"))
+    # linear runs to collapse: each ensemble's generator, n = n0 + (i mod period), name prefix and own checks
+    star = {"star_preservation": check_star_preservation}
+    convex = {"convexity_preservation": check_convexity_preservation, "convex_area": check_area_monotone}
+    ensembles = [(GeneratorKind.RANDOM_STAR, 4, 7, "star", star), (GeneratorKind.RANDOM_CONVEX, 5, 6, "convex", convex)]
+    for kind, n0, period, prefix, checks in ensembles:
+        checks |= {f"{prefix}_perimeter": check_perimeter_monotone, f"{prefix}_centroid_drift": check_centroid_drift}
+        for i in range(ensemble_size):
+            poly = generate(GeneratorSpec(kind, n=n0 + i % period), root.next_u64())
+            cfg = SimConfig(t_end=400.0, dt=0.05, stop_diameter=1e-4 * poly.diameter(), record_every=10)
+            traj = run(poly, FlowSpec.linear(), cfg)
+            reports += [replace(check(traj), check_name=f"{name}[{i:02d}]") for name, check in checks.items()]
 
     # collinear states stay collinear
     for i in range(10):

@@ -234,8 +234,7 @@ def read_trajectory_csv(path) -> Trajectory:
 
 
 def _svg_num(x: float) -> str:
-    s = format(x, ".6g")
-    return "0" if s == "-0" else s
+    return "%.6g" % (x + 0.0)
 
 
 def _svg_points(z: np.ndarray, sep: str = " ") -> str:

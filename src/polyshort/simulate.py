@@ -119,8 +119,8 @@ class Trajectory:
 
     ``z`` is the read-only ``(S, n)`` complex array of the S recorded states,
     one row per sample; ``states`` derives :class:`Polygon` views of its rows.
-    ``times`` has one entry per row, starts at 0 and strictly increases, or
-    construction raises ``ValueError``.  ``perimeter``, ``signed_area``, ``min_f``, ``min_h``
+    ``times`` has one entry per row, starts at 0 and strictly increases, and every state is finite,
+    or construction raises ``ValueError``.  ``perimeter``, ``signed_area``, ``min_f``, ``min_h``
     (smallest F_i, H_i) and ``min_edge`` are derived from ``z`` on first use, then read-only.
     """
 
@@ -133,6 +133,8 @@ class Trajectory:
         z = np.array(self.z, dtype=np.complex128, order="C")
         if z.ndim != 2 or times.shape != z.shape[:1]:
             raise ValueError("need one time per row of an (S, n) array of states")
+        if not np.isfinite(z).all():
+            raise ValueError("states must be finite")
         if times.size and (times[0] != 0.0 or not (np.diff(times) > 0.0).all()):
             raise ValueError("times must start at 0 and strictly increase")
         times.flags.writeable = z.flags.writeable = False

@@ -14,6 +14,7 @@ from polyshort.analysis import (
     PreconditionNotStarError,
     PreconditionTooShortError,
     check_area_monotone,
+    check_centroid_drift,
     check_convexity_preservation,
     check_ellipse_convergence,
     check_perimeter_monotone,
@@ -321,6 +322,18 @@ class TestReportFormatting:
 
     def test_json_deterministic(self):
         assert report_json(self.REPORTS, seed=1) == report_json(self.REPORTS, seed=1)
+
+
+@pytest.mark.parametrize("drift, passed", [(4e-9, True), (6e-9, False)])
+def test_centroid_drift_is_bounded_by_the_initial_diameter(drift, passed):
+    # the bound is 1e-9 times the first state's diameter, 5: a tenth of that
+    # state, moved by the drift, is the final one
+    z0 = np.array([0.0, 3.0, 3.0 + 4.0j, 4.0j])
+    g0 = z0.mean()
+    traj = Trajectory([0.0, 1.0], [z0, g0 + 0.1 * (z0 - g0) + drift], Termination.COLLAPSED)
+    report = check_centroid_drift(traj)
+    assert report.passed is passed and report.samples_checked == 2
+    assert report.worst_margin == pytest.approx(5e-9 - drift, rel=1e-6)
 
 
 @pytest.mark.parametrize("size", [0, -1])

@@ -1836,31 +1836,33 @@ def test_well_separated_rows_need_no_exact_diameter(monkeypatch):
     assert traj.termination is Termination.T_END
 
 
-STEPPED_RUNS = st.tuples(
-    st.sampled_from(
-        [
-            FlowSpec.menger_melnikov(),
-            FlowSpec.bisector(),
-            FlowSpec.bisector(speed_mode=BisectorSpeedMode.NORM_MATCHED),
-        ]
-    ),
-    st.integers(3, 12),
-    st.integers(0, 2**32),
-    st.floats(1e-4, 0.02),
-    # t_end in steps
-    st.floats(0.5, 40.0),
-    st.integers(1, 5),
-    st.booleans(),
-    # stop_diameter and min_edge_capture as fractions of the initial diameter
-    st.one_of(st.just(0.0), st.floats(0.5, 1.0)),
-    st.one_of(st.none(), st.floats(1e-3, 0.3)),
+STEPPED_RUNS = st.sampled_from(
+    [
+        FlowSpec.menger_melnikov(),
+        FlowSpec.bisector(),
+        FlowSpec.bisector(speed_mode=BisectorSpeedMode.NORM_MATCHED),
+    ]
+).flatmap(
+    lambda flow: st.tuples(
+        st.just(flow),
+        st.integers(3, 12),
+        st.integers(0, 2**32),
+        # MM steps up to 0.1 long, so that the curvature cap shortens some
+        st.floats(1e-4, 0.1 if flow.kind is FlowKind.MENGER_MELNIKOV else 0.02),
+        # t_end in steps
+        st.floats(0.5, 40.0),
+        st.integers(1, 5),
+        st.booleans(),
+        # stop_diameter and min_edge_capture as fractions of the initial diameter
+        st.one_of(st.just(0.0), st.floats(0.5, 1.0)),
+        st.one_of(st.none(), st.floats(1e-3, 0.3)),
+    )
 )
 
 
 @settings(deadline=None, max_examples=40)
 @given(STEPPED_RUNS)
-# the drawn adaptive MM runs take no capped step: this one (STOPPED_RUNS'
-# mm_capped) caps every step, 32 to a block
+# STOPPED_RUNS' mm_capped, which caps every step, 32 to a block
 @example((FlowSpec.menger_melnikov(), 9, 7, 0.05, 20.0, 2, True, 0.5, None))
 def test_stepped_flows_against_stepped_loop(spec):
     # the Menger-Melnikov and bisector flows still step the vertices: bit for bit
@@ -1876,6 +1878,46 @@ def test_stepped_flows_against_stepped_loop(spec):
         min_edge_capture=None if capture is None else capture * diam0,
     )
     assert run(poly, flow, cfg) == ref_run(poly, flow, cfg)
+
+
+# The time rule's edges: a random convex 40-gon, whose modal blocks hold
+# _SCREENED * _BLOCK // 40 = 409 steps, and stepped blocks 32, the first led by
+# the initial state; a step near 1e-3 whose dt * 1e-9 is 2**-40 exactly, so
+# that a run time plus dt * 1e-9 is a double and _time_left's edge is met exactly
+EDGE_POLY = generate(GeneratorSpec(GeneratorKind.RANDOM_CONVEX, n=40), 3)
+EDGE_DT = 0.0009094947017729282
+
+
+def time_rule_edges(k):
+    """The end of k whole steps of EDGE_DT, summed in order, and the t_end values at its edges.
+
+    Those are that end, one double either side of it, the end plus
+    EDGE_DT * 1e-9 (where _time_left stops the run) and one double either side.
+    """
+    t = 0.0
+    for _ in range(k):
+        t += EDGE_DT
+    edge = t + EDGE_DT * 1e-9
+    assert EDGE_DT * 1e-9 == 2.0**-40 and edge - t == 2.0**-40
+    return t, one_either_side(t) + one_either_side(edge)
+
+
+@pytest.mark.parametrize("k", [1, 32, 33, simulate._SCREENED * _BLOCK // 40, simulate._SCREENED * _BLOCK // 40 + 1])
+def test_time_rule_edges(k):
+    # each t_end ends the run T_END, at t_end itself or, where no more than
+    # EDGE_DT * 1e-9 is left, at the end of the k whole steps; the modal path
+    # and the stepped path (for k up to 33) take the stepped loop's times
+    whole, t_ends = time_rule_edges(k)
+    flow = FlowSpec.bisector()
+    for t_end in t_ends:
+        cfg = SimConfig(t_end=t_end, dt=EDGE_DT, stop_diameter=0.0, record_every=5, min_edge_capture=0.0)
+        got = assert_same_linear_run(EDGE_POLY, cfg)
+        assert got.termination is Termination.T_END
+        assert got.times[-1] in (whole, t_end)
+        if k <= 33:
+            stepped = run(EDGE_POLY, flow, cfg)
+            assert stepped == ref_run(EDGE_POLY, flow, cfg)
+            assert stepped.termination is Termination.T_END and same_bits(stepped.times, got.times)
 
 
 # A convex pentagon with a short bottom edge, 1e-4 long, whose bisectors

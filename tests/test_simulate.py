@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from polyshort import flows, geometry, simulate
+from polyshort.analysis import check_convexity_preservation
 from polyshort.flows import BisectorSpeedMode, DegenerateTripleError, FlowSpec
 from polyshort.generators import _BOOMERANG_VERTICES, GeneratorKind, GeneratorSpec, generate
 from polyshort.geometry import Polygon
@@ -135,6 +136,12 @@ class TestTrajectory:
         assert len(states) == len(traj)
         for s, row in zip(states, traj.z):
             assert type(s) is Polygon and s.z.base is traj.z and np.shares_memory(s.z, row)
+
+    @pytest.mark.parametrize("bad", [complex(math.nan, 1.0), complex(1.0, -math.inf)])
+    def test_rejects_non_finite_states(self, bad):
+        # a NaN row would wrap as a Polygon that is_simple calls simple
+        with pytest.raises(ValueError, match="finite"):
+            Trajectory([0.0], [[0, 1, bad]], Termination.T_END)
 
     def test_unhashable(self):
         # as a Polygon is: equality compares arrays, which have no hash
@@ -401,6 +408,16 @@ class TestRunMengerMelnikov:
         traj = run(star, FlowSpec.menger_melnikov(), cfg)
         assert traj.termination is Termination.COLLAPSED
         assert calls == [(33, 33), (32, 32), (32, 32), (32, 2)]
+
+    @pytest.mark.parametrize("n, seed", [(8, 5), (12, 2)])
+    def test_convex_polygon_stays_strictly_convex_to_collapse(self, n, seed):
+        # every step recorded, down to a thousandth of the initial diameter: the
+        # worst H margins are 8.9e-8 (n = 8) and 4.1e-8 (n = 12)
+        poly = generate(GeneratorSpec(GeneratorKind.RANDOM_CONVEX, n=n), seed)
+        cfg = SimConfig(t_end=10.0, dt=1e-3, stop_diameter=1e-3 * poly.diameter(), record_every=1)
+        traj = run(poly, FlowSpec.menger_melnikov(), cfg)
+        assert traj.termination is Termination.COLLAPSED
+        assert check_convexity_preservation(traj).passed
 
     def test_four_field_evaluations_per_adaptive_step(self, monkeypatch):
         calls = []
